@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import EQUATIONS, SimConfig, parse_config_dict
+from .config import (
+    EQUATIONS,
+    SimConfig,
+    _check_keys,
+    _number,
+    _require,
+    parse_config_dict,
+)
 from .errors import ConfigError, SiwfError
 from .noise import coarsen, generate_noise
 from .recordio import (
@@ -49,6 +56,15 @@ SUITE_CHECKS = (
     "decomposition_invariance",
 )
 
+#: suite keys and their defaults; ``seed`` is default_suite's ``base_seed``
+_SUITE_DEFAULTS = {
+    "seed": 20_240_501,
+    "n_traj": 10_000,
+    "dt": 1e-3,
+    "include_negative_controls": True,
+    "checks": None,
+}
+
 
 def _threads() -> int:
     raw = os.environ.get("SIWF_THREADS", "1")
@@ -73,6 +89,13 @@ def _load_config(path: str, overrides: dict) -> SimConfig:
     doc = dict(doc)
     doc.update(overrides)
     return parse_config_dict(doc)
+
+
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_bytes(text.encode())
+    except OSError as exc:
+        raise SiwfError(f"cannot write '{path}': {exc}") from exc
 
 
 def _collect_overrides(args) -> dict:
@@ -112,12 +135,8 @@ def cmd_simulate(args) -> int:
     written = []
 
     def emit(name: str, text: str):
-        path = outdir / name
-        try:
-            path.write_bytes(text.encode())
-        except OSError as exc:
-            raise SiwfError(f"cannot write '{path}': {exc}") from exc
-        written.append(path)
+        _write(outdir / name, text)
+        written.append(outdir / name)
 
     emit("manifest.json", manifest_json(cfg, __version__))
     obs_order = [
@@ -159,50 +178,54 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _load_suite(path: str) -> dict:
+    """Validate a verify suite document, filling in the defaults."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SiwfError(f"cannot read suite '{path}': {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
+    _require(isinstance(doc, dict), "<root>", "suite must be a JSON object")
+    _check_keys(doc, set(_SUITE_DEFAULTS), "")
+    suite = {**_SUITE_DEFAULTS, **doc}
+    seed, n_traj = suite["seed"], suite["n_traj"]
+    _require(isinstance(seed, int) and not isinstance(seed, bool),
+             "seed", "must be an integer")
+    _require(isinstance(n_traj, int) and not isinstance(n_traj, bool)
+             and n_traj >= 100, "n_traj", "must be an integer >= 100")
+    suite["dt"] = _number(suite, "dt", "dt")
+    _require(suite["dt"] > 0, "dt", "must be positive")
+    _require(isinstance(suite["include_negative_controls"], bool),
+             "include_negative_controls", "must be a boolean")
+    checks = suite["checks"]
+    if checks is not None:
+        _require(isinstance(checks, list), "checks",
+                 "must be a list of check names")
+        for name in checks:
+            _require(name in SUITE_CHECKS, "checks",
+                     f"unknown check '{name}' (known: {list(SUITE_CHECKS)})")
+    return suite
+
+
 def cmd_verify(args) -> int:
     threads = _threads()
-    seed = 20_240_501
-    n_traj = 10_000
-    dt = 1e-3
-    include_nc = True
-    checks = None
-    if args.suite:
-        try:
-            doc = json.loads(Path(args.suite).read_text())
-        except OSError as exc:
-            raise SiwfError(f"cannot read suite '{args.suite}': {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("<root>", "suite must be a JSON object")
-        allowed = {"seed", "n_traj", "dt", "checks", "include_negative_controls"}
-        for k in doc:
-            if k not in allowed:
-                raise ConfigError(k, f"unknown suite key (allowed: {sorted(allowed)})")
-        seed = doc.get("seed", seed)
-        n_traj = doc.get("n_traj", n_traj)
-        dt = doc.get("dt", dt)
-        include_nc = doc.get("include_negative_controls", include_nc)
-        checks = doc.get("checks", None)
-        if checks is not None:
-            for name in checks:
-                if name not in SUITE_CHECKS:
-                    raise ConfigError(
-                        "checks", f"unknown check '{name}' "
-                        f"(known: {list(SUITE_CHECKS)})"
-                    )
-    if checks is not None and len(checks) == 0:
+    suite = _load_suite(args.suite) if args.suite else dict(_SUITE_DEFAULTS)
+    if args.output and not Path(args.output).parent.is_dir():
+        raise SiwfError(
+            f"--output '{args.output}': directory does not exist"
+        )
+    if suite["checks"] == []:
         print("warning: empty suite, nothing to check", file=sys.stderr)
         if args.output:
-            Path(args.output).write_text(reports_to_json([]))
+            _write(args.output, reports_to_json([]))
         return 0
     reports = default_suite(
-        base_seed=seed, n_traj=n_traj, dt=dt, threads=threads,
-        include_negative_controls=include_nc, checks=checks,
+        base_seed=suite.pop("seed"), threads=threads, **suite
     )
     print(format_table(reports))
     if args.output:
-        Path(args.output).write_text(reports_to_json(reports))
+        _write(args.output, reports_to_json(reports))
         print(f"report written to {args.output}")
     return 0 if all(r.passed for r in reports) else 1
 
@@ -259,23 +282,20 @@ def cmd_compare(args) -> int:
     }
     if differing & {"dt"} and not differing & {"scheme", "equation"}:
         finer_cfg = cfg_a if cfg_a.dt < cfg_b.dt else cfg_b
-        finer_ratio = 1
-        rec_fine = run(finer_cfg, finer_ratio) if extra_refine == 2 else None
-        if rec_fine is not None:
-            coarse_rec = rec_a if cfg_a.dt > cfg_b.dt else rec_b
-            fine_rec = rec_b if cfg_a.dt > cfg_b.dt else rec_a
-            d1 = _max_common_density_diff(coarse_rec, fine_rec)
-            # one more halving: finer config on the un-coarsened base path
-            rec_half = _run_half(finer_cfg, base)
-            d2 = _max_common_density_diff(fine_rec, rec_half)
-            report["convergence"] = {
-                "coarse_vs_fine": d1,
-                "fine_vs_finer": d2,
-                "ratio": d1 / d2 if d2 > 0 else float("inf"),
-            }
+        coarse_rec = rec_a if cfg_a.dt > cfg_b.dt else rec_b
+        fine_rec = rec_b if cfg_a.dt > cfg_b.dt else rec_a
+        d1 = _max_common_density_diff(coarse_rec, fine_rec)
+        # one more halving: finer config on the un-coarsened base path
+        rec_half = _run_half(finer_cfg, base)
+        d2 = _max_common_density_diff(fine_rec, rec_half)
+        report["convergence"] = {
+            "coarse_vs_fine": d1,
+            "fine_vs_finer": d2,
+            "ratio": d1 / d2 if d2 > 0 else float("inf"),
+        }
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.output:
-        Path(args.output).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write(args.output, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 

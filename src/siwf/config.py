@@ -91,10 +91,6 @@ def complex_matrix_to_lists(m: np.ndarray) -> list:
     ]
 
 
-def complex_vector_to_lists(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
-
-
 def _number(block, key, path, default=None) -> float:
     val = block.get(key, default)
     _require(val is not None, path, "is required")

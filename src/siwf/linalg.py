@@ -21,8 +21,6 @@ class Tolerances:
     hermiticity_tol: float = 1e-10
     trace_tol: float = 1e-8
     psd_tol: float = 1e-8
-    ortho_tol: float = 1e-10
-    reconstruction_tol: float = 1e-9
     norm_tol: float = 1e-8
 
     def override(self, **kwargs) -> "Tolerances":

@@ -77,11 +77,17 @@ def _check_noise(model: ModelSpec, noise: NoisePath) -> None:
         )
 
 
-def _finish_observables(densities, observables) -> dict:
-    out = {}
-    for name, matrix in (observables or {}).items():
-        out[name] = observable_series(densities, matrix)
-    return out
+def _record(times, densities, observables, **series) -> TrajectoryRecord:
+    """A TrajectoryRecord with the named observable series filled in."""
+    return TrajectoryRecord(
+        times=times,
+        densities=densities,
+        observables={
+            name: observable_series(densities, matrix)
+            for name, matrix in (observables or {}).items()
+        },
+        **series,
+    )
 
 
 def _ensure_finite(state: np.ndarray, step: int) -> None:
@@ -93,6 +99,49 @@ def _ensure_finite(state: np.ndarray, step: int) -> None:
                 "usually needs the exponential scheme or a smaller dt"
             ),
         )
+
+
+def _integrate(state, n_steps, idx, step, save):
+    """The time loop every driver runs: ``save(j, k, state)`` at step
+    k = idx[j], then ``state = step(k, state)``; returns the final state."""
+    j = 0
+    for k in range(n_steps + 1):
+        if j < idx.size and idx[j] == k:
+            save(j, k, state)
+            j += 1
+        if k == n_steps:
+            return state
+        state = step(k, state)
+
+
+def _run_path(noise, n_ch, state, idx, advance, save, settle=None):
+    """Integrate one noise path; returns the (driving, other) record series
+    at the saved steps.
+
+    ``advance(state, dw)`` returns the next state and the signed record drift
+    +-2 Re tr(L_l rho) of the pre-step state; the other series adds
+    ``drift * dt`` after each increment.  Kernel failures are reported with
+    their step; ``settle(state, k)`` then post-processes the new state.
+    """
+    dws = noise.increments[:, :n_ch]
+    drift = np.empty((noise.n_steps, n_ch))
+
+    def step(k, state):
+        try:
+            state, drift[k] = advance(state, dws[k])
+        except Exception as exc:
+            raise StepFailureError(k, exc) from exc
+        return state if settle is None else settle(state, k + 1)
+
+    _integrate(state, noise.n_steps, idx, step, save)
+    # both sums run step by step (a leading zero row, then increment and
+    # drift interleaved), exactly as a running total would round them
+    seq = np.zeros((2 * noise.n_steps + 1, n_ch))
+    seq[1::2] = dws
+    driving = np.cumsum(seq, axis=0)[0::2]
+    seq[2::2] = drift * noise.dt
+    other = np.cumsum(seq, axis=0)[0::2]
+    return driving[idx], other[idx]
 
 
 def run_siwf_trajectory(
@@ -112,40 +161,22 @@ def run_siwf_trajectory(
     """
     _check_noise(model, noise)
     ctx = StepContext(model, scheme, noise.dt, renormalize, tols)
-    n_ch = model.n_channels
     idx = save_indices(noise.n_steps, save_stride)
     psi = init_ensemble(dec).components[None].copy()
-    w_cum = np.zeros(n_ch)
-    b_cum = np.zeros(n_ch)
     ens_out = np.empty((idx.size,) + psi.shape[1:], dtype=np.complex128)
-    w_out = np.empty((idx.size, n_ch))
-    b_out = np.empty((idx.size, n_ch))
-    k_save = 0
-    for k in range(noise.n_steps + 1):
-        if k_save < idx.size and idx[k_save] == k:
-            _ensure_finite(psi, k)
-            ens_out[k_save] = psi[0]
-            w_out[k_save] = w_cum
-            b_out[k_save] = b_cum
-            k_save += 1
-        if k == noise.n_steps:
-            break
-        dw = noise.increments[k, :n_ch]
-        try:
-            psi, p, _ = siwf_step_batch(ctx, psi, dw[None, :])
-        except Exception as exc:
-            raise StepFailureError(k, exc) from exc
-        w_cum = w_cum + dw
-        b_cum = b_cum + dw + 2.0 * p[0] * noise.dt
+
+    def save(j, k, psi):
+        _ensure_finite(psi, k)
+        ens_out[j] = psi[0]
+
+    def advance(psi, dw):
+        psi, p, _ = siwf_step_batch(ctx, psi, dw[None, :])
+        return psi, 2.0 * p[0]
+
+    w_out, b_out = _run_path(noise, model.n_channels, psi, idx, advance, save)
     densities = np.einsum("kni,knj->kij", ens_out, ens_out.conj())
-    return TrajectoryRecord(
-        times=idx * noise.dt,
-        densities=densities,
-        ensembles=ens_out,
-        innovations=w_out,
-        records=b_out,
-        observables=_finish_observables(densities, observables),
-    )
+    return _record(idx * noise.dt, densities, observables,
+                   ensembles=ens_out, innovations=w_out, records=b_out)
 
 
 def run_nonlinear_trajectory(
@@ -161,43 +192,24 @@ def run_nonlinear_trajectory(
     """Integrate the pure-state conditioned equation along one noise path."""
     _check_noise(model, noise)
     ctx = StepContext(model, scheme, noise.dt, renormalize, tols)
-    n_ch = model.n_channels
     idx = save_indices(noise.n_steps, save_stride)
     psi = np.asarray(psi0, dtype=np.complex128).copy()
-    w_cum = np.zeros(n_ch)
-    b_cum = np.zeros(n_ch)
     ens_out = np.empty((idx.size, 1, psi.shape[0]), dtype=np.complex128)
-    w_out = np.empty((idx.size, n_ch))
-    b_out = np.empty((idx.size, n_ch))
-    k_save = 0
-    for k in range(noise.n_steps + 1):
-        if k_save < idx.size and idx[k_save] == k:
-            _ensure_finite(psi, k)
-            ens_out[k_save, 0] = psi
-            w_out[k_save] = w_cum
-            b_out[k_save] = b_cum
-            k_save += 1
-        if k == noise.n_steps:
-            break
-        dw = noise.increments[k, :n_ch]
+
+    def save(j, k, psi):
+        _ensure_finite(psi, k)
+        ens_out[j, 0] = psi
+
+    def advance(psi, dw):
         m = np.array(
             [np.real(np.vdot(psi, l_op @ psi)) for l_op in model.lindblads]
         )
-        try:
-            psi = step_nonlinear_sse(ctx, psi, dw)
-        except Exception as exc:
-            raise StepFailureError(k, exc) from exc
-        w_cum = w_cum + dw
-        b_cum = b_cum + dw + 2.0 * m * noise.dt
+        return step_nonlinear_sse(ctx, psi, dw), 2.0 * m
+
+    w_out, b_out = _run_path(noise, model.n_channels, psi, idx, advance, save)
     densities = np.einsum("kni,knj->kij", ens_out, ens_out.conj())
-    return TrajectoryRecord(
-        times=idx * noise.dt,
-        densities=densities,
-        ensembles=ens_out,
-        innovations=w_out,
-        records=b_out,
-        observables=_finish_observables(densities, observables),
-    )
+    return _record(idx * noise.dt, densities, observables,
+                   ensembles=ens_out, innovations=w_out, records=b_out)
 
 
 def run_linear_route(
@@ -222,51 +234,39 @@ def run_linear_route(
     """
     _check_noise(model, noise)
     ctx = StepContext(model, scheme, noise.dt, renormalize=False, tols=tols)
-    n_ch = model.n_channels
     idx = save_indices(noise.n_steps, save_stride)
     phi = init_ensemble(dec).components[None].copy()
-    w_cum = np.zeros(n_ch)
-    b_cum = np.zeros(n_ch)
     ens_out = np.empty((idx.size,) + phi.shape[1:], dtype=np.complex128)
     dens_out = np.empty((idx.size, model.dim, model.dim), dtype=np.complex128)
-    w_out = np.empty((idx.size, n_ch))
-    b_out = np.empty((idx.size, n_ch))
     weights = np.empty(idx.size)
-    k_save = 0
-    for k in range(noise.n_steps + 1):
+
+    def weigh(phi, k):
+        # the state is carried as (phi, weight, rho_hat)
         weight = float(np.sum(np.abs(phi) ** 2))
         if not np.isfinite(weight):
             _ensure_finite(phi, k)
         if weight < EXTINCTION_THRESHOLD:
             raise TrajectoryExtinctError(weight, k)
         rho_hat = np.einsum("ni,nj->ij", phi[0], phi[0].conj()) / weight
-        if k_save < idx.size and idx[k_save] == k:
-            weights[k_save] = weight
-            ens_out[k_save] = phi[0] / np.sqrt(weight)
-            dens_out[k_save] = rho_hat
-            w_out[k_save] = w_cum
-            b_out[k_save] = b_cum
-            k_save += 1
-        if k == noise.n_steps:
-            break
-        db = noise.increments[k, :n_ch]
+        return phi, weight, rho_hat
+
+    def save(j, k, state):
+        phi, weight, dens_out[j] = state
+        weights[j] = weight
+        ens_out[j] = phi[0] / np.sqrt(weight)
+
+    def advance(state, db):
+        phi, _, rho_hat = state
         tr = np.array(
             [np.trace(l_op @ rho_hat).real for l_op in model.lindblads]
         )
-        try:
-            phi = linear_step_batch(ctx, phi, db[None, :])
-        except Exception as exc:
-            raise StepFailureError(k, exc) from exc
-        b_cum = b_cum + db
-        w_cum = w_cum + db - 2.0 * tr * noise.dt
-    record = TrajectoryRecord(
-        times=idx * noise.dt,
-        densities=dens_out,
-        ensembles=ens_out,
-        innovations=w_out,
-        records=b_out,
-        observables=_finish_observables(dens_out, observables),
+        return linear_step_batch(ctx, phi, db[None, :]), -2.0 * tr
+
+    b_out, w_out = _run_path(
+        noise, model.n_channels, weigh(phi, 0), idx, advance, save, weigh
     )
+    record = _record(idx * noise.dt, dens_out, observables,
+                     ensembles=ens_out, innovations=w_out, records=b_out)
     return record, weights
 
 
@@ -283,38 +283,21 @@ def run_belavkin_trajectory(
     """Integrate the conditioned master equation directly along one path."""
     _check_noise(model, noise)
     ctx = StepContext(model, scheme, noise.dt, renormalize, tols)
-    n_ch = model.n_channels
     idx = save_indices(noise.n_steps, save_stride)
     rho = np.asarray(rho0, dtype=np.complex128)[None].copy()
-    w_cum = np.zeros(n_ch)
-    b_cum = np.zeros(n_ch)
     dens_out = np.empty((idx.size, model.dim, model.dim), dtype=np.complex128)
-    w_out = np.empty((idx.size, n_ch))
-    b_out = np.empty((idx.size, n_ch))
-    k_save = 0
-    for k in range(noise.n_steps + 1):
-        if k_save < idx.size and idx[k_save] == k:
-            _ensure_finite(rho, k)
-            dens_out[k_save] = rho[0]
-            w_out[k_save] = w_cum
-            b_out[k_save] = b_cum
-            k_save += 1
-        if k == noise.n_steps:
-            break
-        dw = noise.increments[k, :n_ch]
-        try:
-            rho, tr = belavkin_step_batch(ctx, rho, dw[None, :])
-        except Exception as exc:
-            raise StepFailureError(k, exc) from exc
-        w_cum = w_cum + dw
-        b_cum = b_cum + dw + 2.0 * tr[0] * noise.dt
-    return TrajectoryRecord(
-        times=idx * noise.dt,
-        densities=dens_out,
-        innovations=w_out,
-        records=b_out,
-        observables=_finish_observables(dens_out, observables),
-    )
+
+    def save(j, k, rho):
+        _ensure_finite(rho, k)
+        dens_out[j] = rho[0]
+
+    def advance(rho, dw):
+        rho, tr = belavkin_step_batch(ctx, rho, dw[None, :])
+        return rho, 2.0 * tr[0]
+
+    w_out, b_out = _run_path(noise, model.n_channels, rho, idx, advance, save)
+    return _record(idx * noise.dt, dens_out, observables,
+                   innovations=w_out, records=b_out)
 
 
 def gksl_solve(
@@ -327,16 +310,15 @@ def gksl_solve(
     """RK4 solution of the mean master equation: (times, densities)."""
     ctx = StepContext(model, "euler_maruyama", dt, renormalize=False)
     idx = save_indices(n_steps, save_stride)
-    rho = np.asarray(rho0, dtype=np.complex128)
     out = np.empty((idx.size, model.dim, model.dim), dtype=np.complex128)
-    k_save = 0
-    for k in range(n_steps + 1):
-        if k_save < idx.size and idx[k_save] == k:
-            out[k_save] = rho
-            k_save += 1
-        if k == n_steps:
-            break
-        rho = step_gksl(ctx, rho)
+
+    def save(j, k, rho):
+        out[j] = rho
+
+    _integrate(
+        np.asarray(rho0, dtype=np.complex128), n_steps, idx,
+        lambda k, rho: step_gksl(ctx, rho), save,
+    )
     return idx * dt, out
 
 
@@ -350,11 +332,7 @@ def run_gksl_trajectory(
 ) -> TrajectoryRecord:
     """Deterministic mean evolution packaged as a record (no noise series)."""
     times, densities = gksl_solve(model, rho0, dt, n_steps, save_stride)
-    return TrajectoryRecord(
-        times=times,
-        densities=densities,
-        observables=_finish_observables(densities, observables),
-    )
+    return _record(times, densities, observables)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +460,9 @@ def _evaluate_functionals(functionals, rho_b):
     return out
 
 
-def _final_weights(ctx, phi, dw, n_steps):
-    for k in range(n_steps):
-        phi = linear_step_batch(ctx, phi, dw[:, k, :])
-    return np.einsum("bni,bni->b", phi.conj(), phi).real
+def _initial_stack(dec, block):
+    psi0 = init_ensemble(dec).components
+    return np.broadcast_to(psi0, (block,) + psi0.shape).copy()
 
 
 def _propagate_block(
@@ -500,49 +477,35 @@ def _propagate_block(
     functionals,
     func_positions,
 ):
-    """Advance one block of trajectories, streaming the reductions.
+    """Advance one block of trajectories and return its partial sums.
 
-    The reweighted route needs the final weight of every trajectory before
-    earlier-time contributions can be accumulated, so it propagates twice:
-    a weight pass, then the accumulation pass.
+    The unweighted equations reduce each saved state as it is reached.  The
+    reweighted route keeps references to its saved stacks (every kernel
+    returns a fresh array) until the final importance weights are known,
+    then checks and reduces them in save order.
     """
     block = len(streams)
-    n_ch = model.n_channels
     dim = model.dim
-    dw = generate_noise_block(seed, n_ch, ctx.dt, n_steps, streams)
+    dw = generate_noise_block(seed, model.n_channels, ctx.dt, n_steps, streams)
     weighted = equation == "linear_weighted"
 
     if equation == "belavkin":
-        rho0 = dec.density()
-        state = np.broadcast_to(rho0, (block, dim, dim)).copy()
+        state = np.broadcast_to(dec.density(), (block, dim, dim)).copy()
+        step = lambda k, s: belavkin_step_batch(ctx, s, dw[:, k, :])[0]
     else:
-        psi0 = init_ensemble(dec).components
-        if equation == "nonlinear" and psi0.shape[0] != 1:
+        state = _initial_stack(dec, block)
+        if equation == "nonlinear" and state.shape[1] != 1:
             raise SiwfError(
                 "the pure-state equation needs a single-component initial state"
             )
-        state = np.broadcast_to(psi0, (block,) + psi0.shape).copy()
-
-    w_final = None
-    if weighted:
-        w_final = _final_weights(ctx, state.copy(), dw, n_steps)
-        if np.any(w_final < EXTINCTION_THRESHOLD):
-            bad = int(np.argmin(w_final))
-            raise TrajectoryExtinctError(float(w_final[bad]), n_steps)
+        if weighted:
+            step = lambda k, s: linear_step_batch(ctx, s, dw[:, k, :])
+        else:
+            step = lambda k, s: siwf_step_batch(ctx, s, dw[:, k, :])[0]
 
     n_saved = idx.size
     shape = (n_saved, dim, dim)
     part = {}
-    if weighted:
-        part["sum_w"] = float(np.sum(w_final))
-        part["sum_w2"] = float(np.sum(w_final**2))
-        part["sum_wrho"] = np.zeros(shape, dtype=np.complex128)
-        part["sum_w2rho"] = np.zeros(shape, dtype=np.complex128)
-        part["sum_w2rho2"] = np.zeros(shape)
-        part["weights_final"] = w_final
-    else:
-        part["sum_rho"] = np.zeros(shape, dtype=np.complex128)
-        part["sum_rho2"] = np.zeros(shape)
     func_sums = {n: [np.zeros(n_saved) for _ in range(4)] for n in functionals}
     func_raw = (
         {n: np.empty((block, len(func_positions))) for n in functionals}
@@ -550,65 +513,90 @@ def _propagate_block(
         else None
     )
 
-    k_save = 0
-    for k in range(n_steps + 1):
-        if k_save < n_saved and idx[k_save] == k:
-            _ensure_finite(state, k)
-            if equation == "belavkin":
-                rho_b = state
-            elif weighted:
-                w = np.einsum("bni,bni->b", state.conj(), state).real
-                if np.any(w < EXTINCTION_THRESHOLD):
-                    bad = int(np.argmin(w))
-                    raise TrajectoryExtinctError(float(w[bad]), k)
-                rho_b = (
-                    np.einsum("bni,bnj->bij", state, state.conj())
-                    / w[:, None, None]
-                )
-            else:
-                rho_b = np.einsum("bni,bnj->bij", state, state.conj())
-            if weighted:
-                part["sum_wrho"][k_save] = np.einsum("b,bij->ij", w_final, rho_b)
-                part["sum_w2rho"][k_save] = np.einsum(
-                    "b,bij->ij", w_final**2, rho_b
-                )
-                part["sum_w2rho2"][k_save] = np.einsum(
-                    "b,bij->ij", w_final**2, np.abs(rho_b) ** 2
-                ).real
-            else:
-                part["sum_rho"][k_save] = rho_b.sum(axis=0)
-                part["sum_rho2"][k_save] = (np.abs(rho_b) ** 2).sum(axis=0)
-            if functionals:
-                vals = _evaluate_functionals(functionals, rho_b)
-                for name, v in vals.items():
-                    if weighted:
-                        func_sums[name][0][k_save] = float(np.sum(w_final * v))
-                        func_sums[name][2][k_save] = float(
-                            np.sum(w_final**2 * v)
-                        )
-                        func_sums[name][3][k_save] = float(
-                            np.sum(w_final**2 * v * v)
-                        )
-                    else:
-                        func_sums[name][0][k_save] = float(np.sum(v))
-                    func_sums[name][1][k_save] = float(np.sum(v * v))
-                    if func_raw is not None:
-                        for slot, pos in enumerate(func_positions):
-                            if pos == k_save:
-                                func_raw[name][:, slot] = v
-            k_save += 1
-        if k == n_steps:
-            break
-        if equation in ("siwf", "nonlinear"):
-            state, _, _ = siwf_step_batch(ctx, state, dw[:, k, :])
-        elif equation == "belavkin":
-            state, _ = belavkin_step_batch(ctx, state, dw[:, k, :])
+    def reduce(j, rho_b, w_final):
+        if weighted:
+            part["sum_wrho"][j] = np.einsum("b,bij->ij", w_final, rho_b)
+            part["sum_w2rho"][j] = np.einsum("b,bij->ij", w_final**2, rho_b)
+            part["sum_w2rho2"][j] = np.einsum(
+                "b,bij->ij", w_final**2, np.abs(rho_b) ** 2
+            ).real
         else:
-            state = linear_step_batch(ctx, state, dw[:, k, :])
+            part["sum_rho"][j] = rho_b.sum(axis=0)
+            part["sum_rho2"][j] = (np.abs(rho_b) ** 2).sum(axis=0)
+        for name, v in _evaluate_functionals(functionals, rho_b).items():
+            if weighted:
+                func_sums[name][0][j] = float(np.sum(w_final * v))
+                func_sums[name][2][j] = float(np.sum(w_final**2 * v))
+                func_sums[name][3][j] = float(np.sum(w_final**2 * v * v))
+            else:
+                func_sums[name][0][j] = float(np.sum(v))
+            func_sums[name][1][j] = float(np.sum(v * v))
+            if func_raw is not None:
+                for slot, pos in enumerate(func_positions):
+                    if pos == j:
+                        func_raw[name][:, slot] = v
+
+    if weighted:
+        saved = []
+        phi = _integrate(
+            state, n_steps, idx, step, lambda j, k, s: saved.append(s)
+        )
+        w_final = np.einsum("bni,bni->b", phi.conj(), phi).real
+        if np.any(w_final < EXTINCTION_THRESHOLD):
+            bad = int(np.argmin(w_final))
+            raise TrajectoryExtinctError(float(w_final[bad]), n_steps)
+        part["sum_w"] = float(np.sum(w_final))
+        part["sum_w2"] = float(np.sum(w_final**2))
+        part["sum_wrho"] = np.zeros(shape, dtype=np.complex128)
+        part["sum_w2rho"] = np.zeros(shape, dtype=np.complex128)
+        part["sum_w2rho2"] = np.zeros(shape)
+        part["weights_final"] = w_final
+        for j, (k, phi) in enumerate(zip(idx.tolist(), saved)):
+            _ensure_finite(phi, k)
+            w = np.einsum("bni,bni->b", phi.conj(), phi).real
+            if np.any(w < EXTINCTION_THRESHOLD):
+                bad = int(np.argmin(w))
+                raise TrajectoryExtinctError(float(w[bad]), k)
+            rho_b = np.einsum("bni,bnj->bij", phi, phi.conj()) / w[:, None, None]
+            reduce(j, rho_b, w_final)
+    else:
+        part["sum_rho"] = np.zeros(shape, dtype=np.complex128)
+        part["sum_rho2"] = np.zeros(shape)
+
+        def save(j, k, s):
+            _ensure_finite(s, k)
+            if equation != "belavkin":
+                s = np.einsum("bni,bnj->bij", s, s.conj())
+            reduce(j, s, None)
+
+        _integrate(state, n_steps, idx, step, save)
 
     part["func_sums"] = func_sums
     part["func_raw"] = func_raw
     return part
+
+
+def _map_blocks(n_traj, threads, work):
+    """``work(streams)`` on each BLOCK_SIZE block of trajectory indices;
+    the results come back in block order whatever the thread count."""
+    blocks = [
+        list(range(start, min(start + BLOCK_SIZE, n_traj)))
+        for start in range(0, n_traj, BLOCK_SIZE)
+    ]
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, blocks))
+    return [work(b) for b in blocks]
+
+
+def _sample_schedule(sample_times, dt, n_steps):
+    """Snap sample times to the step grid: (requested steps, save schedule
+    including the last step, position of each request in the schedule)."""
+    req = [round(float(t) / dt) for t in np.atleast_1d(sample_times)]
+    if any(k < 0 or k > n_steps for k in req):
+        raise ValueError("sample time outside [0, t_final]")
+    idx = np.unique(np.asarray(req + [n_steps], dtype=int))
+    return req, idx, [int(np.searchsorted(idx, k)) for k in req]
 
 
 def _run_blocks(
@@ -621,10 +609,6 @@ def _run_blocks(
             f"choose from {MC_EQUATIONS}"
         )
     ctx = StepContext(model, scheme, dt, renormalize)
-    blocks = [
-        list(range(start, min(start + BLOCK_SIZE, n_traj)))
-        for start in range(0, n_traj, BLOCK_SIZE)
-    ]
 
     def work(streams):
         return _propagate_block(
@@ -632,16 +616,11 @@ def _run_blocks(
             n_steps, idx, functionals, func_positions,
         )
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
-    else:
-        parts = [work(b) for b in blocks]
     acc = _Accumulator(
         idx.size, model.dim, equation == "linear_weighted",
         list(functionals), func_positions is not None,
     )
-    for p in parts:
+    for p in _map_blocks(n_traj, threads, work):
         acc.add(p)
     return acc
 
@@ -708,11 +687,7 @@ def sample_functionals(
     Sample times are snapped to the step grid.
     """
     n_steps = resolve_steps(dt, t_final)
-    req = [round(float(t) / dt) for t in np.atleast_1d(sample_times)]
-    if any(k < 0 or k > n_steps for k in req):
-        raise ValueError("sample time outside [0, t_final]")
-    idx = np.unique(np.asarray(req + [n_steps], dtype=int))
-    func_positions = [int(np.searchsorted(idx, k)) for k in req]
+    req, idx, func_positions = _sample_schedule(sample_times, dt, n_steps)
     acc = _run_blocks(
         model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
         scheme, renormalize, threads, dict(functionals), func_positions,
@@ -747,38 +722,23 @@ def weight_paths(
     Returns (times, weights) with weights of shape (n_traj, len(times)).
     """
     n_steps = resolve_steps(dt, t_final)
-    req = [round(float(t) / dt) for t in np.atleast_1d(sample_times)]
-    if any(k < 0 or k > n_steps for k in req):
-        raise ValueError("sample time outside [0, t_final]")
-    idx = np.unique(np.asarray(req + [n_steps], dtype=int))
-    pos = [int(np.searchsorted(idx, k)) for k in req]
+    req, idx, pos = _sample_schedule(sample_times, dt, n_steps)
     ctx = StepContext(model, scheme, dt, renormalize=False)
-    blocks = [
-        list(range(start, min(start + BLOCK_SIZE, n_traj)))
-        for start in range(0, n_traj, BLOCK_SIZE)
-    ]
 
     def work(streams):
         dw = generate_noise_block(
             base_seed, model.n_channels, dt, n_steps, streams
         )
-        psi0 = init_ensemble(dec).components
-        phi = np.broadcast_to(psi0, (len(streams),) + psi0.shape).copy()
         out = np.empty((idx.size, len(streams)))
-        k_save = 0
-        for k in range(n_steps + 1):
-            if k_save < idx.size and idx[k_save] == k:
-                out[k_save] = np.einsum("bni,bni->b", phi.conj(), phi).real
-                k_save += 1
-            if k == n_steps:
-                break
-            phi = linear_step_batch(ctx, phi, dw[:, k, :])
+
+        def save(j, k, phi):
+            out[j] = np.einsum("bni,bni->b", phi.conj(), phi).real
+
+        _integrate(
+            _initial_stack(dec, len(streams)), n_steps, idx,
+            lambda k, phi: linear_step_batch(ctx, phi, dw[:, k, :]), save,
+        )
         return out
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
-    else:
-        parts = [work(b) for b in blocks]
-    all_w = np.concatenate(parts, axis=1)
+    all_w = np.concatenate(_map_blocks(n_traj, threads, work), axis=1)
     return np.asarray(req, dtype=float) * dt, all_w[pos].T

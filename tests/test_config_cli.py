@@ -237,6 +237,26 @@ class TestVerifyCli:
         suite.write_text(json.dumps({"checks": ["not_a_check"]}))
         assert main(["verify", "--suite", str(suite)]) == 2
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"n_traj": 50, "checks": ["gksl_mean"]}, "n_traj"),
+        ({"dt": "x", "checks": ["model_identities"]}, "dt"),
+        ({"seed": 1.5, "checks": ["model_identities"]}, "seed"),
+        ({"include_negative_controls": "yes"}, "include_negative_controls"),
+        ({"checks": "martingale"}, "checks"),
+        ({"checks": ["model_identities"], "output": "missing/r.json"},
+         "--output"),
+    ])
+    def test_malformed_suite_names_key(self, tmp_path, capsys, doc, key):
+        doc = dict(doc)
+        output = doc.pop("output", None)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(doc))
+        argv = ["verify", "--suite", str(suite)]
+        if output:
+            argv += ["--output", str(tmp_path / output)]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+
     def test_small_suite_report(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({

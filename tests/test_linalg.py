@@ -3,7 +3,6 @@ import pytest
 
 from siwf.errors import DensityMatrixError, DimensionMismatchError, NotHermitianError
 from siwf.linalg import (
-    DEFAULT_TOLS,
     assert_density_matrix,
     eig_reconstruct,
     hermitian_eig,
@@ -81,7 +80,7 @@ class TestHermitianEig:
         assert np.all(np.diff(w) <= 1e-12)
         assert np.max(np.abs(eig_reconstruct(w, v) - m)) <= 1e-10
         gram = v @ v.conj().T
-        assert np.max(np.abs(gram - np.eye(d))) <= DEFAULT_TOLS.ortho_tol
+        assert np.max(np.abs(gram - np.eye(d))) <= 1e-10
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(3)

@@ -17,6 +17,7 @@ from siwf.noise import NoisePath, generate_noise
 from siwf.recordio import record_to_csv
 from siwf.states import InitialDecomposition, decompose_density
 from siwf.trajectories import (
+    MC_EQUATIONS,
     gksl_solve,
     monte_carlo_mean,
     run_belavkin_trajectory,
@@ -139,6 +140,32 @@ class TestLinearRoute:
                           increments=inc)
         with pytest.raises(TrajectoryExtinctError):
             run_linear_route(model, dec, noise)
+
+
+class TestRecordSums:
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_sums_match_running_totals(self, stride):
+        # the path driver's record series must round exactly like the
+        # running totals w += dw; b += dw + drift dt
+        from siwf.trajectories import _run_path, save_indices
+        n_steps, n_ch = 50, 2
+        noise = generate_noise(4, 3, 1e-3, n_steps)
+        drifts = np.random.default_rng(0).normal(size=(n_steps, n_ch))
+        idx = save_indices(n_steps, stride)
+        driving, other = _run_path(
+            noise, n_ch, 0, idx,
+            lambda k, dw: (k + 1, drifts[k]), lambda j, k, s: None,
+        )
+        w, b = np.zeros(n_ch), np.zeros(n_ch)
+        w_ref, b_ref = [w], [b]
+        for k in range(n_steps):
+            dw = noise.increments[k, :n_ch]
+            w = w + dw
+            b = b + dw + drifts[k] * noise.dt
+            w_ref.append(w)
+            b_ref.append(b)
+        assert np.array_equal(driving, np.array(w_ref)[idx])
+        assert np.array_equal(other, np.array(b_ref)[idx])
 
 
 class TestFailurePropagation:
@@ -293,3 +320,81 @@ class TestGoldenRecord:
         assert digest == expected, (
             "record bytes changed; if intentional, regenerate the golden hash"
         )
+
+
+MC_GOLDEN_FILE = Path(__file__).parent / "data" / "golden_mc.sha256"
+
+
+def _mc_golden_setup():
+    # three levels, two monitored channels, a rank-2 start: 600 paths make
+    # three blocks (256, 256, 88)
+    h = np.array([[0.0, 0.6, 0.0], [0.6, 0.3, 0.4j], [0.0, -0.4j, -0.2]])
+    l1 = np.diag([1.0, 0.0, -0.5]).astype(complex)
+    l2 = np.array([[0.0, 0.7, 0.0], [0.0, 0.0, 0.3], [0.0, 0.0, 0.0]],
+                  dtype=complex)
+    model = make_model(h, [l1, l2])
+    mixed = decompose_density(np.diag([0.55, 0.45, 0.0]).astype(complex))
+    pure = decompose_density(np.diag([0.0, 1.0, 0.0]).astype(complex))
+    obs = {"x01": np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)}
+    return model, mixed, pure, obs
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def mc_golden_digests() -> dict:
+    """sha256 of every Monte Carlo result array, keyed by case."""
+    model, mixed, pure, obs = _mc_golden_setup()
+    kwargs = dict(dt=1e-3, t_final=0.04, save_stride=7, observables=obs)
+    out = {}
+    for equation in MC_EQUATIONS:
+        dec = pure if equation == "nonlinear" else mixed
+        for threads in (1, 2):
+            s = monte_carlo_mean(model, dec, 600, 31, equation,
+                                 threads=threads, **kwargs)
+            m, se = s.observable_stats["x01"]
+            out[f"mean-{equation}-t{threads}"] = _digest(s.times, s.mean,
+                                                        s.se, m, se)
+    purity = lambda rho: np.einsum("bij,bji->b", rho, rho).real
+    got = sample_functionals(
+        model, mixed, 600, 32, "linear_weighted",
+        {"x01": obs["x01"], "purity": purity}, [0.01, 0.025, 0.04],
+        dt=1e-3, t_final=0.04, threads=2,
+    )
+    out["sample-functionals"] = _digest(
+        got.times, got.samples["x01"], got.samples["purity"], got.weights
+    )
+    times, w = weight_paths(model, mixed, 600, 33, [0.0, 0.02, 0.04],
+                            dt=1e-3, t_final=0.04, threads=2)
+    out["weight-paths"] = _digest(times, w)
+    return out
+
+
+class TestGoldenMonteCarlo:
+    def test_mc_results_regression(self):
+        expected = dict(
+            line.split() for line in MC_GOLDEN_FILE.read_text().splitlines()
+        )
+        assert mc_golden_digests() == expected, (
+            "Monte Carlo result bytes changed; if intentional, regenerate "
+            "tests/data/golden_mc.sha256 with mc_golden_digests()"
+        )
+
+    def test_weighted_route_steps_each_block_once(self, monkeypatch):
+        import siwf.trajectories as traj
+        calls = []
+        kernel = traj.linear_step_batch
+
+        def counted(ctx, phi, dw):
+            calls.append(phi.shape[0])
+            return kernel(ctx, phi, dw)
+
+        monkeypatch.setattr(traj, "linear_step_batch", counted)
+        model, mixed, _, _ = _mc_golden_setup()
+        monte_carlo_mean(model, mixed, 300, 5, "linear_weighted", dt=1e-3,
+                         t_final=0.02, save_stride=5)
+        assert calls == [256] * 20 + [44] * 20
