@@ -131,7 +131,10 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config, _collect_overrides(args))
     threads = _threads()
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SiwfError(f"cannot create output_dir '{outdir}': {exc}") from exc
     written = []
 
     def emit(name: str, text: str):

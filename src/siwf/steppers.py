@@ -38,6 +38,9 @@ class StepContext:
     renormalize: bool = True
     tols: Tolerances = DEFAULT_TOLS
     propagator: np.ndarray | None = field(default=None, compare=False)
+    # stacked operators of belavkin_step_batch, built once per context
+    _left_ops: np.ndarray = field(init=False, compare=False, repr=False)
+    _sandwich_ops: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -47,6 +50,18 @@ class StepContext:
         if self.scheme == "exponential_em" and self.propagator is None:
             prop = frozen(scipy.linalg.expm(self.model.drift_generator * self.dt))
             object.__setattr__(self, "propagator", prop)
+        d = self.model.dim
+        left = list(self.model.lindblads)
+        right = [l_op.conj().T for l_op in left]
+        if self.scheme == "euler_maruyama":
+            # dt G rides along as operator 0; its zero block keeps it out of
+            # the sandwich sum
+            left.insert(0, self.model.drift_generator * self.dt)
+            right.insert(0, np.zeros((d, d)))
+        # np.array, not np.concatenate: a model may have no channels
+        stack = lambda ops: np.array(ops, dtype=np.complex128).reshape(-1, d)
+        object.__setattr__(self, "_left_ops", frozen(stack(left)))
+        object.__setattr__(self, "_sandwich_ops", frozen(self.dt * stack(right)))
 
 
 def _check_dw(ctx: StepContext, dw) -> np.ndarray:
@@ -133,32 +148,41 @@ def belavkin_step_batch(
     sum_l (L_l rho + rho L_l^dag - 2 Re tr(L_l rho) rho) dW_l.  The result
     is re-Hermitized and, if renormalizing, divided by its trace.
 
+    Every contraction is a 2-D matrix product on a reshaped stack, with the
+    stacked operators built once per context.  The batch is laid out as
+    the (d, B d) column block [rho_1 ... rho_B]; one product with the
+    (K d, d) stack [A_1; ...; A_K] = [dt G; L_1; ...; L_M] (under
+    exponential_em without dt G) gives every A_k rho_b.  Regrouped as the
+    (B d, K d) row block of [A_1 rho_b ... A_K rho_b], one product with
+    dt [0; L_1^dag; ...; L_M^dag] gives dt sum_l L_l rho_b L_l^dag.
+    rho A^dag is taken as (A rho)^dag, which holds for Hermitian rho.
+    Under exponential_em the result is P X P^dag with P = exp(G dt): X P^dag
+    is one product on the row block and P (X P^dag) one on the column block.
+
     Returns (new stack, Re tr(L_l rho) per channel (B, M)).
     """
     if renormalize is None:
         renormalize = ctx.renormalize
-    ls = ctx.model.lindblads
-    n_ch = len(ls)
-    b = rho.shape[0]
-    tr = np.empty((b, n_ch))
-    hop = np.zeros_like(rho)
-    diffusion = np.zeros_like(rho)
-    for l, l_op in enumerate(ls):
-        lrho = np.einsum("ij,bjk->bik", l_op, rho)
-        rhold = lrho.conj().transpose(0, 2, 1)  # rho L^dag for Hermitian rho
-        tr[:, l] = np.einsum("bii->b", lrho).real
-        hop += np.einsum("bij,kj->bik", lrho, l_op.conj())
-        diffusion += (lrho + rhold - 2.0 * tr[:, l, None, None] * rho) * dw[
-            :, l, None, None
-        ]
-    if ctx.scheme == "exponential_em":
-        inner = rho + hop * ctx.dt + diffusion
+    b, d, _ = rho.shape
+    em = int(ctx.scheme == "euler_maruyama")  # stack index of L_1
+    cols = rho.transpose(1, 0, 2).reshape(d, b * d)
+    # prods[k, i, b, j] = (A_k rho_b)[i, j]
+    prods = (ctx._left_ops @ cols).reshape(-1, d, b, d)
+    tr = np.einsum("kibi->bk", prods[em:]).real
+    sandwich = prods.transpose(2, 1, 0, 3).reshape(b * d, -1) @ ctx._sandwich_ops
+    # half + half^dag = dt (G rho + rho G^dag)
+    #     + sum_l (L_l rho + rho L_l^dag - 2 Re tr(L_l rho) rho) dW_l
+    half = -np.einsum("bl,bl->b", tr, dw)[:, None, None] * rho
+    for l in range(ctx.model.n_channels):
+        half += prods[em + l].transpose(1, 0, 2) * dw[:, l, None, None]
+    if em:
+        half += prods[0].transpose(1, 0, 2)
+    new = rho + sandwich.reshape(b, d, d) + half + half.conj().transpose(0, 2, 1)
+    if not em:
         prop = ctx.propagator
-        new = np.einsum("ij,bjk,lk->bil", prop, inner, prop.conj())
-    else:
-        g = ctx.model.drift_generator
-        grho = np.einsum("ij,bjk->bik", g, rho)
-        new = rho + (grho + grho.conj().transpose(0, 2, 1) + hop) * ctx.dt + diffusion
+        right = new.reshape(b * d, d) @ prop.conj().T
+        cols = right.reshape(b, d, d).transpose(1, 0, 2).reshape(d, b * d)
+        new = (prop @ cols).reshape(d, b, d).transpose(1, 0, 2)
     new = (new + new.conj().transpose(0, 2, 1)) / 2.0
     if renormalize:
         traces = np.einsum("bii->b", new).real
@@ -190,13 +214,15 @@ def step_nonlinear_sse(ctx: StepContext, phi_hat, dw) -> np.ndarray:
     """Advance one normalized pure state by the conditioned state equation.
 
     With m_l = Re<phi, L_l phi>: drift G phi + sum_l (m_l L_l phi
-    - m_l^2/2 phi), diffusion sum_l (L_l phi - m_l phi) dW_l.
+    - m_l^2/2 phi), diffusion sum_l (L_l phi - m_l phi) dW_l.  A unit state
+    is required only when renormalizing; otherwise the scheme's own norm
+    drift is carried forward, as in ``siwf_step_batch``.
     """
     v = as_state(phi_hat, ctx.model.dim)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise NormViolationError("nonlinear step requires a nonzero state", 1.0)
-    if abs(norm - 1.0) > 10 * ctx.tols.norm_tol:
+    if ctx.renormalize and abs(norm - 1.0) > 10 * ctx.tols.norm_tol:
         raise NormViolationError("nonlinear step requires a unit state", abs(norm - 1.0))
     dwv = _check_dw(ctx, dw)
     nl_drift = np.zeros_like(v)

@@ -224,6 +224,13 @@ class TestSimulateCli:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "dt" in capsys.readouterr().err
 
+    def test_output_dir_below_file_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, output_dir=str(blocker / "sub"))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert str(blocker / "sub") in capsys.readouterr().err
+
 
 class TestVerifyCli:
     def test_empty_suite_warns_and_passes(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from siwf.noise import coarsen, generate_noise
 from siwf.states import WaveEnsemble
 from siwf.steppers import (
     StepContext,
+    belavkin_step_batch,
     gksl_rhs,
     siwf_step_batch,
     step_belavkin,
@@ -194,6 +195,57 @@ class TestBelavkinStep:
         rho = np.diag([0.7, 0.7]).astype(complex)
         with pytest.raises(DensityMatrixError):
             step_belavkin(ctx, rho, [0.1])
+
+
+def belavkin_einsum_reference(ctx, rho, dw, renormalize):
+    """The per-channel einsum form of the Belavkin step, kept as a reference."""
+    ls = ctx.model.lindblads
+    tr = np.empty((rho.shape[0], len(ls)))
+    hop = np.zeros_like(rho)
+    diffusion = np.zeros_like(rho)
+    for l, l_op in enumerate(ls):
+        lrho = np.einsum("ij,bjk->bik", l_op, rho)
+        rhold = lrho.conj().transpose(0, 2, 1)
+        tr[:, l] = np.einsum("bii->b", lrho).real
+        hop += np.einsum("bij,kj->bik", lrho, l_op.conj())
+        diffusion += (lrho + rhold - 2.0 * tr[:, l, None, None] * rho) * dw[
+            :, l, None, None
+        ]
+    if ctx.scheme == "exponential_em":
+        inner = rho + hop * ctx.dt + diffusion
+        prop = ctx.propagator
+        new = np.einsum("ij,bjk,lk->bil", prop, inner, prop.conj())
+    else:
+        g = ctx.model.drift_generator
+        grho = np.einsum("ij,bjk->bik", g, rho)
+        new = rho + (grho + grho.conj().transpose(0, 2, 1) + hop) * ctx.dt + diffusion
+    new = (new + new.conj().transpose(0, 2, 1)) / 2.0
+    if renormalize:
+        new = new / np.einsum("bii->b", new).real[:, None, None]
+    return new, tr
+
+
+class TestBelavkinKernel:
+    @pytest.mark.parametrize("scheme", ["euler_maruyama", "exponential_em"])
+    @pytest.mark.parametrize("n_ch", [0, 1, 2])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_matches_einsum_reference(self, scheme, n_ch, renormalize):
+        rng = np.random.default_rng(7)
+        cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for b in (1, 5, 32):
+            for d in (2, 6, 16):
+                h = cplx(d, d)
+                model = make_model(h + h.conj().T, [cplx(d, d) / d for _ in range(n_ch)])
+                ctx = StepContext(model, scheme, 1e-3, renormalize)
+                x = cplx(b, d, d)
+                rho = x @ x.conj().transpose(0, 2, 1)
+                rho = rho / np.einsum("bii->b", rho).real[:, None, None]
+                dw = rng.normal(scale=0.03, size=(b, n_ch))
+                new, tr = belavkin_step_batch(ctx, rho, dw)
+                ref, ref_tr = belavkin_einsum_reference(ctx, rho, dw, renormalize)
+                assert new.shape == ref.shape and tr.shape == ref_tr.shape == (b, n_ch)
+                assert np.max(np.abs(new - ref)) <= 1e-13, (b, d)
+                assert np.max(np.abs(tr - ref_tr), initial=0.0) <= 1e-13, (b, d)
 
 
 class TestGkslStep:

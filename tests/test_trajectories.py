@@ -58,6 +58,18 @@ class TestSiwfTrajectory:
         assert np.max(np.abs(rec_e.ensembles[:, 0] - rec_n.ensembles[:, 0])) <= 1e-8
         assert np.max(np.abs(rec_e.densities - rec_n.densities)) <= 1e-8
 
+    def test_pure_state_matches_nonlinear_run_without_renormalization(self):
+        model = rabi_model(RabiParams(omega1=1.0, omega2=1.2, g=0.1, alpha=0.5,
+                                      n_fock=3))
+        psi0 = np.zeros(model.dim, dtype=complex)
+        psi0[[0, 3]] = 1 / np.sqrt(2)
+        noise = generate_noise(5, model.n_channels, 1e-3, 1000)
+        rec_e = run_siwf_trajectory(model, mixture([1.0], [psi0]), noise,
+                                    renormalize=False)
+        rec_n = run_nonlinear_trajectory(model, psi0, noise, renormalize=False)
+        assert np.max(np.abs(rec_e.ensembles[:, 0] - rec_n.ensembles[:, 0])) <= 1e-12
+        assert np.max(np.abs(rec_e.records - rec_n.records)) <= 1e-12
+
     def test_zero_components_stay_zero(self):
         model = qubit_model(1.0, 1.0, "z")
         dec = mixture([0.7, 0.3, 0.0], [E1, E2, (E1 + E2) / np.sqrt(2)])
