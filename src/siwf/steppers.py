@@ -148,7 +148,7 @@ def belavkin_step_batch(
     sum_l (L_l rho + rho L_l^dag - 2 Re tr(L_l rho) rho) dW_l.  The result
     is re-Hermitized and, if renormalizing, divided by its trace.
 
-    Every contraction is a 2-D matrix product on a reshaped stack, with the
+    Every matrix product is one 2-D product on a reshaped stack, with the
     stacked operators built once per context.  The batch is laid out as
     the (d, B d) column block [rho_1 ... rho_B]; one product with the
     (K d, d) stack [A_1; ...; A_K] = [dt G; L_1; ...; L_M] (under
