@@ -19,8 +19,6 @@ from .errors import (
     TrajectoryExtinctError,
 )
 from .linalg import (
-    DEFAULT_TOLS,
-    Tolerances,
     assert_density_matrix,
     hermitian_eig,
     hermitize,

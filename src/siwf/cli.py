@@ -71,8 +71,10 @@ def _threads() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise SiwfError(f"SIWF_THREADS must be an integer, got '{raw}'")
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise SiwfError(f"SIWF_THREADS must be an integer >= 1, got '{raw}'")
+    return n
 
 
 def _load_config(path: str, overrides: dict) -> SimConfig:
@@ -143,7 +145,7 @@ def cmd_simulate(args) -> int:
 
     emit("manifest.json", manifest_json(cfg, __version__))
     obs_order = [
-        e if isinstance(e, str) else str(e["name"])
+        e if isinstance(e, str) else e["name"]
         for e in cfg.observable_entries
     ]
 

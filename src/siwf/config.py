@@ -8,11 +8,12 @@ Complex matrices and vectors are nested arrays of [re, im] pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NotHermitianError
 from .model import (
     BoxParams,
     ModelSpec,
@@ -91,12 +92,30 @@ def complex_matrix_to_lists(m: np.ndarray) -> list:
     ]
 
 
+def _finite(val) -> bool:
+    """True for a JSON number (not a boolean) with a finite float value."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(block, key, path, default=None) -> float:
     val = block.get(key, default)
     _require(val is not None, path, "is required")
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             path, "must be a number")
+    _require(_finite(val), path, "must be a finite number")
     return float(val)
+
+
+def _numbers(val, path: str, length: int | None = None) -> list:
+    """A list of finite numbers, of ``length`` entries if given."""
+    count = "" if length is None else f"{length} "
+    _require(isinstance(val, list) and all(_finite(x) for x in val)
+             and length in (None, len(val)),
+             path, f"must be a list of {count}finite numbers")
+    return val
 
 
 def _build_model(block) -> ModelSpec:
@@ -151,10 +170,7 @@ def _build_model(block) -> ModelSpec:
         _require(n_grid >= 3, "model.n_grid", "must be >= 3")
         potential = block.get("potential")
         if potential is not None:
-            _require(
-                isinstance(potential, list) and len(potential) == n_grid,
-                "model.potential", f"must be a list of {n_grid} numbers",
-            )
+            _numbers(potential, "model.potential", n_grid)
         return box_model(
             BoxParams(alpha_kin, gamma, x_min, x_max, n_grid, potential)
         )
@@ -162,9 +178,12 @@ def _build_model(block) -> ModelSpec:
         _check_keys(block, {"preset", "hamiltonian", "lindblads"}, "model.")
         _require("hamiltonian" in block, "model.hamiltonian", "is required")
         h = parse_complex_matrix(block["hamiltonian"], "model.hamiltonian")
+        entries = block.get("lindblads", [])
+        _require(isinstance(entries, list), "model.lindblads",
+                 "must be a list of matrices")
         ls = [
             parse_complex_matrix(entry, f"model.lindblads[{i}]")
-            for i, entry in enumerate(block.get("lindblads", []))
+            for i, entry in enumerate(entries)
         ]
         for i, l_op in enumerate(ls):
             _require(
@@ -172,7 +191,10 @@ def _build_model(block) -> ModelSpec:
                 f"model.lindblads[{i}]",
                 f"must match hamiltonian shape {h.shape}",
             )
-        return make_model(h, ls, meta={"kind": "custom"})
+        try:
+            return make_model(h, ls, meta={"kind": "custom"})
+        except NotHermitianError as exc:
+            raise ConfigError("model.hamiltonian", str(exc)) from exc
     raise ConfigError(
         "model.preset", "must be one of 'qubit', 'rabi', 'box', 'custom'"
     )
@@ -220,15 +242,18 @@ def _build_decomposition(block, model: ModelSpec) -> InitialDecomposition:
         _check_keys(block, {"kind", "weights", "vectors"}, "initial_state.")
         _require("weights" in block and "vectors" in block,
                  "initial_state", "mixture needs weights and vectors")
-        weights = np.asarray(block["weights"], dtype=float)
-        vecs = np.stack(
-            [
-                parse_complex_vector(v, f"initial_state.vectors[{i}]")
-                for i, v in enumerate(block["vectors"])
-            ]
+        weights = np.asarray(
+            _numbers(block["weights"], "initial_state.weights"), dtype=float
         )
-        _require(vecs.shape[1] == d, "initial_state.vectors",
-                 f"states must have dimension {d}")
+        vectors = block["vectors"]
+        _require(isinstance(vectors, list) and vectors,
+                 "initial_state.vectors", "must be a non-empty list of vectors")
+        vecs = np.empty((len(vectors), d), dtype=np.complex128)
+        for i, v in enumerate(vectors):
+            vec = parse_complex_vector(v, f"initial_state.vectors[{i}]")
+            _require(vec.shape[0] == d, f"initial_state.vectors[{i}]",
+                     f"must have dimension {d}")
+            vecs[i] = vec
         try:
             return InitialDecomposition(weights=weights, vectors=vecs)
         except Exception as exc:
@@ -263,7 +288,9 @@ def _build_observables(entries, model: ModelSpec) -> dict:
             _require(mat.shape == (model.dim, model.dim),
                      f"observables[{i}].matrix",
                      f"must be {model.dim}x{model.dim}")
-            out[str(entry["name"])] = mat
+            _require(isinstance(entry["name"], str), f"observables[{i}].name",
+                     "must be a string")
+            out[entry["name"]] = mat
         else:
             raise ConfigError(
                 f"observables[{i}]",
@@ -336,15 +363,13 @@ def parse_config_dict(doc: dict) -> SimConfig:
     merged = dict(_DEFAULTS)
     merged.update(doc)
 
-    dt = merged["dt"]
-    _require(isinstance(dt, (int, float)) and not isinstance(dt, bool),
-             "dt", "must be a number")
+    dt = _number(merged, "dt", "dt")
     _require(dt > 0, "dt", "must be positive")
-    t_final = merged["t_final"]
-    _require(isinstance(t_final, (int, float)) and not isinstance(t_final, bool),
-             "t_final", "must be a number")
+    t_final = _number(merged, "t_final", "t_final")
     _require(t_final > 0, "t_final", "must be positive")
     _require(dt <= t_final, "dt", "must be <= t_final")
+    _require(math.isfinite(t_final / dt), "t_final",
+             "t_final / dt must be finite")
     n_traj = merged["n_trajectories"]
     _require(isinstance(n_traj, int) and not isinstance(n_traj, bool)
              and n_traj >= 1, "n_trajectories", "must be an integer >= 1")
@@ -370,8 +395,8 @@ def parse_config_dict(doc: dict) -> SimConfig:
     cfg = SimConfig(
         model_block=merged["model"],
         initial_block=merged["initial_state"],
-        dt=float(dt),
-        t_final=float(t_final),
+        dt=dt,
+        t_final=t_final,
         n_trajectories=n_traj,
         seed=seed,
         scheme=scheme,

@@ -7,27 +7,17 @@ dense (the package targets desk-scale dimensions, d up to a few hundred).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import DensityMatrixError, DimensionMismatchError, NotHermitianError
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used by validation checks throughout the package."""
-
-    hermiticity_tol: float = 1e-10
-    trace_tol: float = 1e-8
-    psd_tol: float = 1e-8
-    norm_tol: float = 1e-8
-
-    def override(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
-
-
-DEFAULT_TOLS = Tolerances()
+#: guard thresholds: max-norm of A - A^dagger, |tr(rho) - 1|, most negative
+#: eigenvalue of rho, and |sum_n ||psi_n||^2 - 1| of an ensemble
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-8
+PSD_TOL = 1e-8
+NORM_TOL = 1e-8
 
 
 def as_operator(m) -> np.ndarray:
@@ -59,10 +49,6 @@ def frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.setflags(write=False)
     return out
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -110,7 +96,7 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def hermitian_eig(m, tols: Tolerances = DEFAULT_TOLS):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and sorted
@@ -123,11 +109,11 @@ def hermitian_eig(m, tols: Tolerances = DEFAULT_TOLS):
     Raises
     ------
     NotHermitianError
-        If ``m`` deviates from Hermiticity by more than ``hermiticity_tol``.
+        If ``m`` deviates from Hermiticity by more than ``HERMITICITY_TOL``.
     """
     a = as_operator(m)
     defect = hermiticity_defect(a)
-    if defect > tols.hermiticity_tol:
+    if defect > HERMITICITY_TOL:
         raise NotHermitianError("hermitian_eig requires a Hermitian matrix", defect)
     w, v = np.linalg.eigh(hermitize(a))
     # eigh returns ascending order; flip to descending
@@ -154,7 +140,7 @@ def eig_reconstruct(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.nda
     return np.einsum("n,ni,nj->ij", eigenvalues, eigenvectors, eigenvectors.conj())
 
 
-def density_violations(rho, tols: Tolerances = DEFAULT_TOLS) -> dict:
+def density_violations(rho) -> dict:
     """Measure how far ``rho`` is from a valid density matrix.
 
     Returns the hermiticity defect, the trace error |tr(rho) - 1| and the
@@ -168,14 +154,14 @@ def density_violations(rho, tols: Tolerances = DEFAULT_TOLS) -> dict:
     return {"hermiticity": herm, "trace": float(trace_err), "negativity": neg}
 
 
-def assert_density_matrix(rho, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def assert_density_matrix(rho) -> np.ndarray:
     """Validate the density-matrix invariants, returning the coerced array."""
     a = as_operator(rho)
-    v = density_violations(a, tols)
-    if v["hermiticity"] > tols.hermiticity_tol:
+    v = density_violations(a)
+    if v["hermiticity"] > HERMITICITY_TOL:
         raise DensityMatrixError("density matrix is not Hermitian", v["hermiticity"])
-    if v["trace"] > tols.trace_tol:
+    if v["trace"] > TRACE_TOL:
         raise DensityMatrixError("density matrix trace is not 1", v["trace"])
-    if v["negativity"] > tols.psd_tol:
+    if v["negativity"] > PSD_TOL:
         raise DensityMatrixError("density matrix is not PSD", v["negativity"])
     return a

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, SiwfError
 from .linalg import (
-    DEFAULT_TOLS,
-    Tolerances,
+    HERMITICITY_TOL,
     as_operator,
     frozen,
     hermiticity_defect,
@@ -51,13 +50,11 @@ def number_operator(n_levels: int) -> np.ndarray:
     return np.diag(np.arange(n_levels, dtype=np.complex128))
 
 
-def build_gksl_generator(
-    h, ls: Sequence, tols: Tolerances = DEFAULT_TOLS
-) -> np.ndarray:
+def build_gksl_generator(h, ls: Sequence) -> np.ndarray:
     """Drift generator -i h - (1/2) sum_l ls[l]^dagger ls[l]."""
     hm = as_operator(h)
     defect = hermiticity_defect(hm)
-    if defect > tols.hermiticity_tol:
+    if defect > HERMITICITY_TOL:
         raise NotHermitianError("Hamiltonian must be Hermitian", defect)
     g = -1j * hm
     for l_op in ls:
@@ -131,15 +128,14 @@ class ModelSpec:
         return len(self.lindblads)
 
 
-def make_model(h, ls: Sequence = (), meta: Mapping | None = None,
-               tols: Tolerances = DEFAULT_TOLS) -> ModelSpec:
+def make_model(h, ls: Sequence = (), meta: Mapping | None = None) -> ModelSpec:
     """Build and validate a ModelSpec from H and the Lindblad list."""
     hm = frozen(hermitize(as_operator(h)))
     defect = hermiticity_defect(as_operator(h))
-    if defect > tols.hermiticity_tol:
+    if defect > HERMITICITY_TOL:
         raise NotHermitianError("Hamiltonian must be Hermitian", defect)
     lms = tuple(frozen(as_operator(l_op)) for l_op in ls)
-    g = frozen(build_gksl_generator(hm, lms, tols))
+    g = frozen(build_gksl_generator(hm, lms))
     return ModelSpec(
         dim=hm.shape[0],
         hamiltonian=hm,
@@ -179,7 +175,7 @@ class RabiParams:
             raise ValueError("n_fock must be >= 2")
 
 
-def rabi_model(p: RabiParams, tols: Tolerances = DEFAULT_TOLS) -> ModelSpec:
+def rabi_model(p: RabiParams) -> ModelSpec:
     """Qubit-cavity Rabi model with a monitored field quadrature.
 
     The space is (n_fock-level bosonic mode) x (qubit), dimension 2*n_fock,
@@ -199,7 +195,7 @@ def rabi_model(p: RabiParams, tols: Tolerances = DEFAULT_TOLS) -> ModelSpec:
     l1 = np.sqrt(p.alpha) * np.kron(
         np.exp(1j * p.psi) * adag + np.exp(-1j * p.psi) * a, eye_q
     )
-    return make_model(h, [l1], meta={"kind": "rabi", "n_fock": p.n_fock}, tols=tols)
+    return make_model(h, [l1], meta={"kind": "rabi", "n_fock": p.n_fock})
 
 
 @dataclass(frozen=True)
@@ -231,7 +227,7 @@ def box_grid(p: BoxParams) -> tuple[np.ndarray, float]:
     return x, h
 
 
-def box_model(p: BoxParams, tols: Tolerances = DEFAULT_TOLS) -> ModelSpec:
+def box_model(p: BoxParams) -> ModelSpec:
     """Finite-difference model of continuous position measurement in a box."""
     x, h = box_grid(p)
     n = p.n_grid
@@ -254,16 +250,12 @@ def box_model(p: BoxParams, tols: Tolerances = DEFAULT_TOLS) -> ModelSpec:
     ham = -p.alpha_kin * d2 + np.diag(v)
     l1 = np.diag(p.gamma * x).astype(np.complex128)
     return make_model(
-        ham, [l1], meta={"kind": "box", "grid": tuple(float(xi) for xi in x)},
-        tols=tols,
+        ham, [l1], meta={"kind": "box", "grid": tuple(float(xi) for xi in x)}
     )
 
 
 def qubit_model(
-    omega: float = 1.0,
-    gamma: float = 1.0,
-    monitor: str = "z",
-    tols: Tolerances = DEFAULT_TOLS,
+    omega: float = 1.0, gamma: float = 1.0, monitor: str = "z"
 ) -> ModelSpec:
     """Two-level test model: H = omega sigma_z/2, one monitored channel.
 
@@ -276,7 +268,7 @@ def qubit_model(
         raise ValueError("gamma must be >= 0")
     h = 0.5 * omega * SIGMA_Z
     ls = [] if gamma == 0 else [np.sqrt(gamma) * ops[monitor]]
-    return make_model(h, ls, meta={"kind": "qubit", "monitor": monitor}, tols=tols)
+    return make_model(h, ls, meta={"kind": "qubit", "monitor": monitor})
 
 
 @dataclass(frozen=True)
@@ -299,12 +291,12 @@ class ModelDiagnostics:
         )
 
 
-def validate_model(m: ModelSpec, threshold: float = 1e-10) -> ModelDiagnostics:
+def validate_model(m: ModelSpec) -> ModelDiagnostics:
     """Check the structural identities a well-formed model must satisfy.
 
     Passes iff both the Hermiticity residual of H and the dissipativity
     residual max_x |2 Re<x, Gx> + sum_l ||L_l x||^2| over canonical basis
-    vectors are at most ``threshold``.
+    vectors are at most ``HERMITICITY_TOL``.
     """
     herm = hermiticity_defect(m.hamiltonian)
     diss = dissipativity_residual(m.drift_generator, m.lindblads)
@@ -316,6 +308,6 @@ def validate_model(m: ModelSpec, threshold: float = 1e-10) -> ModelDiagnostics:
         dissipativity_residual=diss,
         hermiticity_residual=herm,
         drift_residual=drift,
-        passed=bool(diss <= threshold and herm <= threshold),
-        threshold=threshold,
+        passed=bool(diss <= HERMITICITY_TOL and herm <= HERMITICITY_TOL),
+        threshold=HERMITICITY_TOL,
     )

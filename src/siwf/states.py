@@ -11,13 +11,7 @@ from .errors import (
     NormViolationError,
     ReconstructionError,
 )
-from .linalg import (
-    DEFAULT_TOLS,
-    Tolerances,
-    assert_density_matrix,
-    frozen,
-    hermitian_eig,
-)
+from .linalg import NORM_TOL, assert_density_matrix, frozen, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -61,9 +55,9 @@ class WaveEnsemble:
     def total_norm_sq(self) -> float:
         return float(np.sum(np.abs(self.components) ** 2))
 
-    def validate(self, tols: Tolerances = DEFAULT_TOLS) -> None:
+    def validate(self) -> None:
         drift = abs(self.total_norm_sq() - 1.0)
-        if drift > tols.norm_tol:
+        if drift > NORM_TOL:
             raise NormViolationError(
                 "ensemble total weight sum ||psi_n||^2 differs from 1", drift
             )
@@ -113,7 +107,6 @@ def decompose_density(
     mode: str = "eigen",
     weights=None,
     vectors=None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> InitialDecomposition:
     """Represent a density matrix as a weighted mixture of unit vectors.
 
@@ -122,9 +115,9 @@ def decompose_density(
     ``given`` accepts caller-supplied (weights, vectors) and verifies they
     reconstruct rho0 to 1e-8 in max-norm.
     """
-    rho = assert_density_matrix(rho0, tols)
+    rho = assert_density_matrix(rho0)
     if mode == "eigen":
-        evals, evecs = hermitian_eig(rho, tols)
+        evals, evecs = hermitian_eig(rho)
         w = np.clip(evals, 0.0, None)
         w = w / np.sum(w)
         keep = w > 0.0
@@ -154,13 +147,10 @@ def init_ensemble(dec: InitialDecomposition) -> WaveEnsemble:
     return WaveEnsemble(components=frozen(psi))
 
 
-def assemble_density(
-    ens: WaveEnsemble, tols: Tolerances = DEFAULT_TOLS, check: bool = True
-) -> np.ndarray:
-    """The represented state rho = sum_n |psi_n><psi_n|."""
+def assemble_density(ens: WaveEnsemble) -> np.ndarray:
+    """The represented state rho = sum_n |psi_n><psi_n|, validated."""
     rho = np.einsum("ni,nj->ij", ens.components, ens.components.conj())
-    if check:
-        assert_density_matrix(rho, tols)
+    assert_density_matrix(rho)
     return rho
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, NormViolationError, DensityMatrixError
-from .linalg import DEFAULT_TOLS, Tolerances, as_state, frozen, hermitize
+from .linalg import NORM_TOL, TRACE_TOL, as_state, frozen, hermitize
 from .model import ModelSpec
 from .states import WaveEnsemble
 
@@ -36,8 +36,8 @@ class StepContext:
     scheme: str = "euler_maruyama"
     dt: float = 1e-3
     renormalize: bool = True
-    tols: Tolerances = DEFAULT_TOLS
-    propagator: np.ndarray | None = field(default=None, compare=False)
+    # exp(G dt) under exponential_em, None otherwise
+    propagator: np.ndarray | None = field(init=False, compare=False, repr=False)
     # stacked operators of belavkin_step_batch, built once per context
     _left_ops: np.ndarray = field(init=False, compare=False, repr=False)
     _sandwich_ops: np.ndarray = field(init=False, compare=False, repr=False)
@@ -47,9 +47,10 @@ class StepContext:
             raise ValueError("dt must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme '{self.scheme}', choose from {SCHEMES}")
-        if self.scheme == "exponential_em" and self.propagator is None:
+        prop = None
+        if self.scheme == "exponential_em":
             prop = frozen(scipy.linalg.expm(self.model.drift_generator * self.dt))
-            object.__setattr__(self, "propagator", prop)
+        object.__setattr__(self, "propagator", prop)
         d = self.model.dim
         left = list(self.model.lindblads)
         right = [l_op.conj().T for l_op in left]
@@ -93,22 +94,18 @@ def linear_step_batch(ctx: StepContext, phi: np.ndarray, dw: np.ndarray) -> np.n
     return phi + (phi @ ctx.model.drift_generator.T) * ctx.dt + stoch
 
 
-def siwf_step_batch(
-    ctx: StepContext, psi: np.ndarray, dw: np.ndarray, renormalize: bool | None = None
-):
+def siwf_step_batch(ctx: StepContext, psi: np.ndarray, dw: np.ndarray):
     """One step of the interacting-ensemble equations.
 
     ``psi`` has shape (B, N, d), ``dw`` shape (B, M).  The coupling
     p_l = sum_n Re<psi_n, L_l psi_n> is evaluated once from the pre-step
     stack (non-anticipating), every component is advanced with drift
     G psi_n + sum_l (p_l L_l psi_n - p_l^2/2 psi_n) and diffusion
-    sum_l (L_l psi_n - p_l psi_n) dW_l, and, if renormalizing, the whole
-    stack is rescaled by one common factor.
+    sum_l (L_l psi_n - p_l psi_n) dW_l, and, if ``ctx.renormalize``, the
+    whole stack is rescaled by one common factor.
 
     Returns (new stack, couplings p (B, M), pre-rescale squared norms (B,)).
     """
-    if renormalize is None:
-        renormalize = ctx.renormalize
     ls = ctx.model.lindblads
     n_ch = len(ls)
     b = psi.shape[0]
@@ -133,20 +130,18 @@ def siwf_step_batch(
             + diffusion
         )
     norm_sq = np.einsum("bni,bni->b", new.conj(), new).real
-    if renormalize:
+    if ctx.renormalize:
         new = new / np.sqrt(norm_sq)[:, None, None]
     return new, p, norm_sq
 
 
-def belavkin_step_batch(
-    ctx: StepContext, rho: np.ndarray, dw: np.ndarray, renormalize: bool | None = None
-):
+def belavkin_step_batch(ctx: StepContext, rho: np.ndarray, dw: np.ndarray):
     """One step of the diffusive conditioned master equation.
 
     ``rho`` has shape (B, d, d), ``dw`` shape (B, M).  Drift is
     G rho + rho G^dag + sum_l L_l rho L_l^dag and diffusion
     sum_l (L_l rho + rho L_l^dag - 2 Re tr(L_l rho) rho) dW_l.  The result
-    is re-Hermitized and, if renormalizing, divided by its trace.
+    is re-Hermitized and, if ``ctx.renormalize``, divided by its trace.
 
     Every matrix product is one 2-D product on a reshaped stack, with the
     stacked operators built once per context.  The batch is laid out as
@@ -161,8 +156,6 @@ def belavkin_step_batch(
 
     Returns (new stack, Re tr(L_l rho) per channel (B, M)).
     """
-    if renormalize is None:
-        renormalize = ctx.renormalize
     b, d, _ = rho.shape
     em = int(ctx.scheme == "euler_maruyama")  # stack index of L_1
     cols = rho.transpose(1, 0, 2).reshape(d, b * d)
@@ -184,7 +177,7 @@ def belavkin_step_batch(
         cols = right.reshape(b, d, d).transpose(1, 0, 2).reshape(d, b * d)
         new = (prop @ cols).reshape(d, b, d).transpose(1, 0, 2)
     new = (new + new.conj().transpose(0, 2, 1)) / 2.0
-    if renormalize:
+    if ctx.renormalize:
         traces = np.einsum("bii->b", new).real
         new = new / traces[:, None, None]
     return new, tr
@@ -222,7 +215,7 @@ def step_nonlinear_sse(ctx: StepContext, phi_hat, dw) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise NormViolationError("nonlinear step requires a nonzero state", 1.0)
-    if ctx.renormalize and abs(norm - 1.0) > 10 * ctx.tols.norm_tol:
+    if ctx.renormalize and abs(norm - 1.0) > 10 * NORM_TOL:
         raise NormViolationError("nonlinear step requires a unit state", abs(norm - 1.0))
     dwv = _check_dw(ctx, dw)
     nl_drift = np.zeros_like(v)
@@ -251,7 +244,7 @@ def step_siwf(ctx: StepContext, ensemble: WaveEnsemble, dw) -> WaveEnsemble:
             f"{ctx.model.dim}"
         )
     drift = abs(ensemble.total_norm_sq() - 1.0)
-    if drift > 10 * ctx.tols.norm_tol:
+    if drift > 10 * NORM_TOL:
         raise NormViolationError(
             "ensemble weight drifted too far from 1 to step safely", drift
         )
@@ -268,7 +261,7 @@ def step_belavkin(ctx: StepContext, rho, dw) -> np.ndarray:
             f"density shape {r.shape} does not match model dim {ctx.model.dim}"
         )
     drift = abs(float(np.trace(r).real) - 1.0)
-    if not ctx.renormalize and drift > 10 * ctx.tols.trace_tol:
+    if not ctx.renormalize and drift > 10 * TRACE_TOL:
         raise DensityMatrixError(
             "trace drifted too far from 1 with renormalization disabled", drift
         )

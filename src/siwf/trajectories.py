@@ -20,7 +20,6 @@ from .errors import (
     StepFailureError,
     TrajectoryExtinctError,
 )
-from .linalg import DEFAULT_TOLS, Tolerances
 from .model import ModelSpec
 from .noise import NoisePath, generate_noise_block
 from .states import (
@@ -152,7 +151,6 @@ def run_siwf_trajectory(
     scheme: str = "euler_maruyama",
     renormalize: bool = True,
     observables: dict | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> TrajectoryRecord:
     """Integrate the interacting-ensemble equations along one noise path.
 
@@ -160,7 +158,7 @@ def run_siwf_trajectory(
     W_l and the measurement record B_l every ``save_stride`` steps.
     """
     _check_noise(model, noise)
-    ctx = StepContext(model, scheme, noise.dt, renormalize, tols)
+    ctx = StepContext(model, scheme, noise.dt, renormalize)
     idx = save_indices(noise.n_steps, save_stride)
     psi = init_ensemble(dec).components[None].copy()
     ens_out = np.empty((idx.size,) + psi.shape[1:], dtype=np.complex128)
@@ -187,11 +185,10 @@ def run_nonlinear_trajectory(
     scheme: str = "euler_maruyama",
     renormalize: bool = True,
     observables: dict | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> TrajectoryRecord:
     """Integrate the pure-state conditioned equation along one noise path."""
     _check_noise(model, noise)
-    ctx = StepContext(model, scheme, noise.dt, renormalize, tols)
+    ctx = StepContext(model, scheme, noise.dt, renormalize)
     idx = save_indices(noise.n_steps, save_stride)
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     ens_out = np.empty((idx.size, 1, psi.shape[0]), dtype=np.complex128)
@@ -219,7 +216,6 @@ def run_linear_route(
     save_stride: int = 1,
     scheme: str = "euler_maruyama",
     observables: dict | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[TrajectoryRecord, np.ndarray]:
     """Integrate the unnormalized linear equation driven by record noise B.
 
@@ -233,7 +229,7 @@ def run_linear_route(
     Returns (record, weight path at the saved times).
     """
     _check_noise(model, noise)
-    ctx = StepContext(model, scheme, noise.dt, renormalize=False, tols=tols)
+    ctx = StepContext(model, scheme, noise.dt, renormalize=False)
     idx = save_indices(noise.n_steps, save_stride)
     phi = init_ensemble(dec).components[None].copy()
     ens_out = np.empty((idx.size,) + phi.shape[1:], dtype=np.complex128)
@@ -278,11 +274,10 @@ def run_belavkin_trajectory(
     scheme: str = "euler_maruyama",
     renormalize: bool = True,
     observables: dict | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> TrajectoryRecord:
     """Integrate the conditioned master equation directly along one path."""
     _check_noise(model, noise)
-    ctx = StepContext(model, scheme, noise.dt, renormalize, tols)
+    ctx = StepContext(model, scheme, noise.dt, renormalize)
     idx = save_indices(noise.n_steps, save_stride)
     rho = np.asarray(rho0, dtype=np.complex128)[None].copy()
     dens_out = np.empty((idx.size, model.dim, model.dim), dtype=np.complex128)

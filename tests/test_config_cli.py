@@ -145,6 +145,11 @@ class TestParseConfig:
         assert cfg.seed == 9
 
 
+UNIT = [[1.0, 0.0], [0.0, 0.0]]
+H_X = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+H_UPPER = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     doc = {
@@ -223,6 +228,56 @@ class TestSimulateCli:
         path.write_text(json.dumps({"model": {"preset": "qubit"}, "dt": -1}))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("simulate", {"initial_state": {"kind": "mixture", "weights": "ab",
+                                        "vectors": [UNIT]}},
+         "initial_state.weights"),
+        ("simulate", {"initial_state": {"kind": "mixture", "weights": [1.0],
+                                        "vectors": 3}},
+         "initial_state.vectors"),
+        ("simulate", {"initial_state": {"kind": "mixture", "weights": [],
+                                        "vectors": []}},
+         "initial_state.vectors"),
+        ("simulate", {"model": {"preset": "box", "n_grid": 3,
+                                "potential": ["a", "b", "c"]}},
+         "model.potential"),
+        ("simulate", {"model": {"preset": "custom", "hamiltonian": H_X,
+                                "lindblads": 5}},
+         "model.lindblads"),
+        ("simulate", {"model": {"preset": "custom", "hamiltonian": H_UPPER}},
+         "model.hamiltonian"),
+        ("simulate", {"observables": [{"name": [1], "matrix": H_X}]},
+         "observables[0].name"),
+        ("simulate", {"t_final": float("inf")}, "t_final"),
+        ("simulate", {"dt": 1e-10, "t_final": 1e300}, "t_final"),
+        ("verify", {"dt": float("inf"), "checks": ["norm_conservation"]},
+         "dt"),
+    ], ids=["weights-string", "vectors-number", "vectors-empty",
+            "potential-strings", "lindblads-number", "non-hermitian",
+            "observable-name-list", "t_final-inf", "steps-overflow",
+            "suite-dt-inf"])
+    def test_malformed_config_names_key(self, tmp_path, capsys, command, doc,
+                                        key):
+        if command == "simulate":
+            path = write_config(tmp_path, output_dir=str(tmp_path / "o"),
+                                **doc)
+            argv = ["simulate", "--config", str(path)]
+        else:
+            path = tmp_path / "suite.json"
+            path.write_text(json.dumps(doc))
+            argv = ["verify", "--suite", str(path)]
+        assert main(argv) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_bad_thread_count_exit_code(self, tmp_path, capsys, monkeypatch,
+                                        threads):
+        monkeypatch.setenv("SIWF_THREADS", threads)
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "o"))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert ("SIWF_THREADS must be an integer >= 1"
+                in capsys.readouterr().err)
 
     def test_output_dir_below_file_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
