@@ -22,8 +22,6 @@ from .linalg import (
     assert_density_matrix,
     hermitian_eig,
     hermitize,
-    kron,
-    outer,
 )
 from .model import (
     BoxParams,
@@ -32,9 +30,7 @@ from .model import (
     annihilation,
     box_model,
     build_gksl_generator,
-    creation,
     make_model,
-    number_operator,
     qubit_model,
     rabi_model,
     validate_model,

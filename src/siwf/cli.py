@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,37 +101,16 @@ def _write(path, text: str) -> None:
         raise SiwfError(f"cannot write '{path}': {exc}") from exc
 
 
-def _collect_overrides(args) -> dict:
-    overrides = {}
-    for key, attr in (
-        ("seed", "seed"),
-        ("dt", "dt"),
-        ("t_final", "t_final"),
-        ("n_trajectories", "n_trajectories"),
-        ("equation", "equation"),
-        ("scheme", "scheme"),
-        ("save_stride", "save_stride"),
-        ("output_dir", "output_dir"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "renormalize", None) is not None:
-        overrides["renormalize"] = args.renormalize
-    if getattr(args, "dump_densities", False):
-        overrides["dump_densities"] = True
-    return overrides
-
-
-def _run_single(cfg: SimConfig):
-    n_steps = resolve_steps(cfg.dt, cfg.t_final)
-    noise = generate_noise(cfg.seed, cfg.model.n_channels, cfg.dt, n_steps,
-                           stream=0)
-    return _run_single_on_noise(cfg, noise)
+#: simulate flags that, when given, override the config key of their name
+_OVERRIDES = ("seed", "dt", "t_final", "n_trajectories", "equation", "scheme",
+              "save_stride", "output_dir", "renormalize", "dump_densities")
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, _collect_overrides(args))
+    cfg = _load_config(args.config, {
+        key: getattr(args, key) for key in _OVERRIDES
+        if getattr(args, key) is not None
+    })
     threads = _threads()
     outdir = Path(cfg.output_dir)
     try:
@@ -144,24 +124,14 @@ def cmd_simulate(args) -> int:
         written.append(outdir / name)
 
     emit("manifest.json", manifest_json(cfg, __version__))
-    obs_order = [
-        e if isinstance(e, str) else e["name"]
-        for e in cfg.observable_entries
-    ]
 
-    if cfg.equation == "gksl":
-        record = run_gksl_trajectory(
-            cfg.model, cfg.decomposition().density(), cfg.dt,
-            resolve_steps(cfg.dt, cfg.t_final), cfg.save_stride,
-            cfg.observables(),
-        )
-        emit("mean.csv", record_to_csv(record, obs_order))
-        if cfg.dump_densities:
-            emit("densities.json",
-                 densities_to_json(record.times, record.densities))
-    elif cfg.n_trajectories == 1:
-        record, weights = _run_single(cfg)
-        emit("trajectory.csv", record_to_csv(record, obs_order, weights))
+    if cfg.equation == "gksl" or cfg.n_trajectories == 1:
+        noise = generate_noise(cfg.seed, cfg.model.n_channels, cfg.dt,
+                               resolve_steps(cfg.dt, cfg.t_final))
+        record, weights = _run_single_on_noise(cfg, noise)
+        # the deterministic mean evolution is a mean, not a trajectory
+        name = "mean.csv" if cfg.equation == "gksl" else "trajectory.csv"
+        emit(name, record_to_csv(record, weights))
         if cfg.dump_densities:
             emit("densities.json",
                  densities_to_json(record.times, record.densities))
@@ -174,7 +144,7 @@ def cmd_simulate(args) -> int:
             renormalize=cfg.renormalize, observables=cfg.observables(),
             threads=threads,
         )
-        emit("mean.csv", mean_to_csv(series, obs_order))
+        emit("mean.csv", mean_to_csv(series))
         if cfg.dump_densities:
             emit("mean_densities.json", mean_densities_to_json(series))
 
@@ -259,26 +229,18 @@ def cmd_compare(args) -> int:
                 f"config {tag} dt {cfg.dt} is not an integer multiple of the "
                 f"finer dt {dt_fine}; paths cannot be shared"
             )
-    model = cfg_a.model
-    t_final = cfg_a.t_final
     extra_refine = 2 if "dt" in differing else 1
-    n_fine = resolve_steps(dt_fine / extra_refine, t_final)
     base = generate_noise(
-        cfg_a.seed, model.n_channels, dt_fine / extra_refine, n_fine
+        cfg_a.seed, cfg_a.model.n_channels, dt_fine / extra_refine,
+        resolve_steps(dt_fine / extra_refine, cfg_a.t_final),
     )
 
-    def run(cfg: SimConfig, ratio: int):
-        noise = coarsen(base, ratio * extra_refine)
-        if cfg.equation == "gksl":
-            return run_gksl_trajectory(
-                cfg.model, cfg.decomposition().density(), cfg.dt,
-                noise.n_steps, 1, cfg.observables(),
-            )
-        record, _ = _run_single_on_noise(_single_variant(cfg), noise)
-        return record
+    def run(cfg: SimConfig, noise):
+        one = replace(cfg, dt=noise.dt, n_trajectories=1, save_stride=1)
+        return _run_single_on_noise(one, noise)[0]
 
-    rec_a = run(cfg_a, ratio_a)
-    rec_b = run(cfg_b, ratio_b)
+    rec_a = run(cfg_a, coarsen(base, ratio_a * extra_refine))
+    rec_b = run(cfg_b, coarsen(base, ratio_b * extra_refine))
     rows = _difference_rows(rec_a, rec_b)
     report = {
         "axes": sorted(differing & {"dt", "scheme", "equation"}),
@@ -286,13 +248,12 @@ def cmd_compare(args) -> int:
         "max_density_difference": max((r["density_diff"] for r in rows), default=0.0),
     }
     if differing & {"dt"} and not differing & {"scheme", "equation"}:
-        finer_cfg = cfg_a if cfg_a.dt < cfg_b.dt else cfg_b
-        coarse_rec = rec_a if cfg_a.dt > cfg_b.dt else rec_b
-        fine_rec = rec_b if cfg_a.dt > cfg_b.dt else rec_a
-        d1 = _max_common_density_diff(coarse_rec, fine_rec)
-        # one more halving: finer config on the un-coarsened base path
-        rec_half = _run_half(finer_cfg, base)
-        d2 = _max_common_density_diff(fine_rec, rec_half)
+        finer_cfg, fine_rec = ((cfg_a, rec_a) if cfg_a.dt < cfg_b.dt
+                               else (cfg_b, rec_b))
+        # one more halving: the finer config on the un-coarsened base path
+        d1 = report["max_density_difference"]
+        d2 = max(r["density_diff"] for r in
+                 _difference_rows(fine_rec, run(finer_cfg, base)))
         report["convergence"] = {
             "coarse_vs_fine": d1,
             "fine_vs_finer": d2,
@@ -305,6 +266,9 @@ def cmd_compare(args) -> int:
 
 
 def _run_single_on_noise(cfg: SimConfig, noise):
+    """The one place an equation meets its single-path runner: (record,
+    importance weights or None) along ``noise``; ``gksl`` reads only the
+    path's step count."""
     model = cfg.model
     dec = cfg.decomposition()
     observables = cfg.observables()
@@ -327,34 +291,19 @@ def _run_single_on_noise(cfg: SimConfig, noise):
             model, dec.density(), noise, cfg.save_stride, cfg.scheme,
             cfg.renormalize, observables,
         ), None
-    raise SiwfError(f"equation '{cfg.equation}' is not path-comparable")
+    return run_gksl_trajectory(
+        model, dec.density(), cfg.dt, noise.n_steps, cfg.save_stride,
+        observables,
+    ), None
 
 
-def _single_variant(cfg: SimConfig) -> SimConfig:
-    one = SimConfig(**{**cfg.__dict__, "_model": None})
-    one.n_trajectories = 1
-    one.save_stride = 1
-    return one
-
-
-def _run_half(cfg: SimConfig, base_noise):
-    one = _single_variant(cfg)
-    one.dt = base_noise.dt
-    record, _ = _run_single_on_noise(one, base_noise)
-    return record
-
-
-def _common_indices(rec_a, rec_b):
+def _difference_rows(rec_a, rec_b):
+    """Density and observable discrepancies at the saved times both share."""
     ta = np.round(rec_a.times, 12)
     tb = np.round(rec_b.times, 12)
     common = np.intersect1d(ta, tb)
     ia = np.searchsorted(ta, common)
     ib = np.searchsorted(tb, common)
-    return common, ia, ib
-
-
-def _difference_rows(rec_a, rec_b):
-    common, ia, ib = _common_indices(rec_a, rec_b)
     shared_obs = sorted(set(rec_a.observables) & set(rec_b.observables))
     rows = []
     for t, ka, kb in zip(common, ia, ib):
@@ -370,13 +319,6 @@ def _difference_rows(rec_a, rec_b):
             )
         rows.append(row)
     return rows
-
-
-def _max_common_density_diff(rec_a, rec_b) -> float:
-    _, ia, ib = _common_indices(rec_a, rec_b)
-    return float(
-        np.max(np.abs(rec_a.densities[ia] - rec_b.densities[ib]))
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--no-renormalize", dest="renormalize",
                      action="store_false", default=None)
     sim.add_argument("--dump-densities", dest="dump_densities",
-                     action="store_true", default=False)
+                     action="store_true", default=None)
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run the verification suite")
@@ -424,9 +366,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SiwfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NotHermitianError
+from .linalg import HERMITICITY_TOL, hermiticity_defect
 from .model import (
     BoxParams,
     ModelSpec,
@@ -29,12 +30,6 @@ from .steppers import SCHEMES
 
 EQUATIONS = ("siwf", "nonlinear", "linear", "belavkin", "gksl")
 
-_TOP_KEYS = {
-    "model", "initial_state", "dt", "t_final", "n_trajectories", "seed",
-    "scheme", "equation", "save_stride", "observables", "output_dir",
-    "renormalize", "dump_densities",
-}
-
 _DEFAULTS = {
     "initial_state": {"kind": "basis", "index": 0},
     "dt": 1e-3,
@@ -49,6 +44,8 @@ _DEFAULTS = {
     "renormalize": True,
     "dump_densities": False,
 }
+
+_TOP_KEYS = {"model", *_DEFAULTS}
 
 
 def _require(cond: bool, key: str, constraint: str) -> None:
@@ -84,12 +81,6 @@ def parse_complex_matrix(data, key: str) -> np.ndarray:
             key, "must be a square nested array of [re, im] pairs"
         )
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def complex_matrix_to_lists(m: np.ndarray) -> list:
-    return [
-        [[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)
-    ]
 
 
 def _finite(val) -> bool:
@@ -265,43 +256,60 @@ def _build_decomposition(block, model: ModelSpec) -> InitialDecomposition:
 
 
 def _build_observables(entries, model: ModelSpec) -> dict:
+    """Observables by name, in config order.  A name must not repeat or
+    clash with another column of the CSV outputs."""
+    reserved = {"time", "weight"} | {
+        f"{series}_{l + 1}" for series in "WB" for l in range(model.n_channels)
+    }
     out = {}
     for i, entry in enumerate(entries):
+        key = f"observables[{i}]"
         if isinstance(entry, str):
             if entry not in KNOWN_OBSERVABLES:
                 raise ConfigError(
-                    f"observables[{i}]",
+                    key,
                     f"unknown observable '{entry}' "
                     f"(known: {list(KNOWN_OBSERVABLES)})",
                 )
             try:
-                out[entry] = resolve_observable(entry, model)
+                name, mat = entry, resolve_observable(entry, model)
             except Exception as exc:
-                raise ConfigError(f"observables[{i}]", str(exc)) from exc
+                raise ConfigError(key, str(exc)) from exc
         elif isinstance(entry, dict):
-            _check_keys(entry, {"name", "matrix"}, f"observables[{i}].")
+            _check_keys(entry, {"name", "matrix"}, f"{key}.")
             _require("name" in entry and "matrix" in entry,
-                     f"observables[{i}]", "needs 'name' and 'matrix'")
-            mat = parse_complex_matrix(
-                entry["matrix"], f"observables[{i}].matrix"
-            )
-            _require(mat.shape == (model.dim, model.dim),
-                     f"observables[{i}].matrix",
+                     key, "needs 'name' and 'matrix'")
+            mat = parse_complex_matrix(entry["matrix"], f"{key}.matrix")
+            _require(mat.shape == (model.dim, model.dim), f"{key}.matrix",
                      f"must be {model.dim}x{model.dim}")
-            _require(isinstance(entry["name"], str), f"observables[{i}].name",
-                     "must be a string")
-            out[entry["name"]] = mat
+            defect = hermiticity_defect(mat)
+            _require(defect <= HERMITICITY_TOL, f"{key}.matrix",
+                     f"must be Hermitian (hermiticity defect {defect:.3e})")
+            name = entry["name"]
+            _require(isinstance(name, str), f"{key}.name", "must be a string")
         else:
             raise ConfigError(
-                f"observables[{i}]",
-                "must be an observable name or a {name, matrix} object",
+                key, "must be an observable name or a {name, matrix} object"
             )
+        _require(name not in out, key, f"duplicate observable name '{name}'")
+        _require(name not in reserved, key,
+                 f"name '{name}' is already a CSV column")
+        out[name] = mat
+    for i, name in enumerate(out):
+        _require(not (name.endswith("_se") and name[:-3] in out),
+                 f"observables[{i}]",
+                 f"name '{name}' is the standard-error column of "
+                 f"'{name[:-3]}'")
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Fully validated simulation configuration."""
+    """Fully validated simulation configuration.
+
+    The model, the initial decomposition and the observables are built
+    once, when the config is made; a malformed block raises ConfigError.
+    """
 
     model_block: dict
     initial_block: dict
@@ -316,19 +324,24 @@ class SimConfig:
     output_dir: str
     renormalize: bool
     dump_densities: bool
-    _model: ModelSpec = field(repr=False, default=None)
+    model: ModelSpec = field(init=False, repr=False, compare=False)
+    _decomposition: InitialDecomposition = field(
+        init=False, repr=False, compare=False)
+    _observables: dict = field(init=False, repr=False, compare=False)
 
-    @property
-    def model(self) -> ModelSpec:
-        if self._model is None:
-            object.__setattr__(self, "_model", _build_model(self.model_block))
-        return self._model
+    def __post_init__(self):
+        model = _build_model(self.model_block)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "_decomposition",
+                           _build_decomposition(self.initial_block, model))
+        object.__setattr__(self, "_observables",
+                           _build_observables(self.observable_entries, model))
 
     def decomposition(self) -> InitialDecomposition:
-        return _build_decomposition(self.initial_block, self.model)
+        return self._decomposition
 
     def observables(self) -> dict:
-        return _build_observables(self.observable_entries, self.model)
+        return self._observables
 
     def resolved_dict(self) -> dict:
         return {
@@ -407,12 +420,8 @@ def parse_config_dict(doc: dict) -> SimConfig:
         renormalize=merged["renormalize"],
         dump_densities=merged["dump_densities"],
     )
-    # force full validation now so errors surface at parse time
-    cfg.model
-    dec = cfg.decomposition()
-    cfg.observables()
     if cfg.equation == "nonlinear":
-        _require(dec.n_components == 1, "initial_state",
+        _require(cfg.decomposition().n_components == 1, "initial_state",
                  "the nonlinear equation needs a pure initial state")
     return cfg
 

@@ -52,15 +52,19 @@ class ReconstructionError(SiwfError, ValueError):
 
 
 class TrajectoryExtinctError(SiwfError, RuntimeError):
-    """A reweighted trajectory's importance weight collapsed to numerical zero."""
+    """A reweighted trajectory's importance weight collapsed to numerical zero.
 
-    def __init__(self, weight: float, step: int):
+    ``trajectory`` is the trajectory's index, which is also its noise stream.
+    """
+
+    def __init__(self, weight: float, step: int, trajectory: int):
         super().__init__(
-            f"trajectory weight {weight:.3e} fell below the extinction "
-            f"threshold at step {step}"
+            f"trajectory {trajectory} weight {weight:.3e} fell below the "
+            f"extinction threshold at step {step}"
         )
         self.weight = weight
         self.step = step
+        self.trajectory = trajectory
 
 
 class StepFailureError(SiwfError, RuntimeError):

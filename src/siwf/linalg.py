@@ -61,24 +61,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def outer(x, y) -> np.ndarray:
-    """Outer product |x><y|, i.e. result[i, j] = x[i] * conj(y[j])."""
-    xv = as_state(x)
-    yv = as_state(y)
-    if xv.shape != yv.shape:
-        raise DimensionMismatchError(
-            f"outer: dimensions differ ({xv.shape[0]} vs {yv.shape[0]})",
-            expected=xv.shape[0],
-            got=yv.shape[0],
-        )
-    return np.outer(xv, yv.conj())
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two operators."""
-    return np.kron(as_operator(a), as_operator(b))
-
-
 def _phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rotate the global phase so the first component above ``tol`` is real > 0."""
     idx = np.flatnonzero(np.abs(v) > tol)
@@ -133,11 +115,6 @@ def hermitian_eig(m):
                 vecs[start:stop] = vecs[order]
             start = stop
     return w, vecs
-
-
-def eig_reconstruct(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
-    """Rebuild sum_n lambda_n |u_n><u_n| from an eigendecomposition."""
-    return np.einsum("n,ni,nj->ij", eigenvalues, eigenvectors, eigenvectors.conj())
 
 
 def density_violations(rho) -> dict:

@@ -42,14 +42,6 @@ def annihilation(n_levels: int) -> np.ndarray:
     return a
 
 
-def creation(n_levels: int) -> np.ndarray:
-    return annihilation(n_levels).conj().T
-
-
-def number_operator(n_levels: int) -> np.ndarray:
-    return np.diag(np.arange(n_levels, dtype=np.complex128))
-
-
 def build_gksl_generator(h, ls: Sequence) -> np.ndarray:
     """Drift generator -i h - (1/2) sum_l ls[l]^dagger ls[l]."""
     hm = as_operator(h)

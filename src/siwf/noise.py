@@ -42,12 +42,6 @@ class NoisePath:
                 f"(n_steps, n_channels) = ({self.n_steps}, {self.n_channels})"
             )
 
-    def cumulative(self) -> np.ndarray:
-        """W paths on the step grid: shape (n_steps + 1, n_channels), W_0 = 0."""
-        out = np.zeros((self.n_steps + 1, self.n_channels))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
 
 def _uniforms(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
@@ -70,8 +64,7 @@ def generate_noise(
         raise ValueError("dt must be positive")
     if n_steps < 0 or n_channels < 0:
         raise ValueError("n_steps and n_channels must be non-negative")
-    z = _gaussians(seed, stream, (n_steps, n_channels))
-    inc = np.sqrt(dt) * z
+    inc = generate_noise_block(seed, n_channels, dt, n_steps, [stream])[0]
     inc.setflags(write=False)
     return NoisePath(
         seed=seed,

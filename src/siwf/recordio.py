@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .config import SimConfig, complex_matrix_to_lists
+from .config import SimConfig
 from .states import TrajectoryRecord
 from .trajectories import MeanSeries
 
@@ -19,18 +19,22 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _pairs(m: np.ndarray) -> list:
+    """Complex entries as nested [re, im] lists."""
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
 def record_to_csv(
-    record: TrajectoryRecord,
-    observable_order: list | None = None,
-    weights: np.ndarray | None = None,
+    record: TrajectoryRecord, weights: np.ndarray | None = None
 ) -> str:
-    """One row per saved time: time, W_l, B_l, observables [, weight]."""
-    names = observable_order or sorted(record.observables)
+    """One row per saved time: time, W_l, B_l, observables [, weight].
+
+    Observable columns follow the record's own (config) order."""
     n_ch = record.innovations.shape[1] if record.innovations is not None else 0
     header = ["time"]
     header += [f"W_{l + 1}" for l in range(n_ch)]
     header += [f"B_{l + 1}" for l in range(n_ch)]
-    header += list(names)
+    header += list(record.observables)
     if weights is not None:
         header.append("weight")
     lines = [",".join(header)]
@@ -39,24 +43,23 @@ def record_to_csv(
         if n_ch:
             row += [fmt(record.innovations[k, l]) for l in range(n_ch)]
             row += [fmt(record.records[k, l]) for l in range(n_ch)]
-        row += [fmt(record.observables[name][k]) for name in names]
+        row += [fmt(series[k]) for series in record.observables.values()]
         if weights is not None:
             row.append(fmt(weights[k]))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def mean_to_csv(series: MeanSeries, observable_order: list | None = None) -> str:
-    """Aggregate Monte Carlo output: time plus mean and SE per observable."""
-    names = observable_order or sorted(series.observable_stats)
+def mean_to_csv(series: MeanSeries) -> str:
+    """Aggregate Monte Carlo output: time plus mean and SE per observable,
+    in the series' own (config) order."""
     header = ["time"]
-    for name in names:
+    for name in series.observable_stats:
         header += [name, f"{name}_se"]
     lines = [",".join(header)]
     for k in range(series.times.shape[0]):
         row = [fmt(series.times[k])]
-        for name in names:
-            m, s = series.observable_stats[name]
+        for m, s in series.observable_stats.values():
             row += [fmt(m[k]), fmt(s[k])]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -65,17 +68,17 @@ def mean_to_csv(series: MeanSeries, observable_order: list | None = None) -> str
 def densities_to_json(times: np.ndarray, densities: np.ndarray) -> str:
     """Full complex density matrices per saved time as [re, im] pairs."""
     doc = {
-        "times": [float(t) for t in times],
-        "densities": [complex_matrix_to_lists(rho) for rho in densities],
+        "times": times.tolist(),
+        "densities": _pairs(densities),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def mean_densities_to_json(series: MeanSeries) -> str:
     doc = {
-        "times": [float(t) for t in series.times],
-        "mean": [complex_matrix_to_lists(rho) for rho in series.mean],
-        "se": [[list(map(float, row)) for row in s] for s in series.se],
+        "times": series.times.tolist(),
+        "mean": _pairs(series.mean),
+        "se": series.se.tolist(),
         "n_trajectories": series.n_traj,
         "equation": series.equation,
     }

@@ -47,11 +47,6 @@ class WaveEnsemble:
     def dim(self) -> int:
         return self.components.shape[1]
 
-    @property
-    def n_active(self) -> int:
-        """Count of components that are not identically zero."""
-        return int(np.count_nonzero(np.any(self.components != 0, axis=1)))
-
     def total_norm_sq(self) -> float:
         return float(np.sum(np.abs(self.components) ** 2))
 

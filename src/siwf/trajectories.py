@@ -242,7 +242,7 @@ def run_linear_route(
         if not np.isfinite(weight):
             _ensure_finite(phi, k)
         if weight < EXTINCTION_THRESHOLD:
-            raise TrajectoryExtinctError(weight, k)
+            raise TrajectoryExtinctError(weight, k, noise.stream)
         rho_hat = np.einsum("ni,nj->ij", phi[0], phi[0].conj()) / weight
         return phi, weight, rho_hat
 
@@ -539,7 +539,8 @@ def _propagate_block(
         w_final = np.einsum("bni,bni->b", phi.conj(), phi).real
         if np.any(w_final < EXTINCTION_THRESHOLD):
             bad = int(np.argmin(w_final))
-            raise TrajectoryExtinctError(float(w_final[bad]), n_steps)
+            raise TrajectoryExtinctError(float(w_final[bad]), n_steps,
+                                         streams[bad])
         part["sum_w"] = float(np.sum(w_final))
         part["sum_w2"] = float(np.sum(w_final**2))
         part["sum_wrho"] = np.zeros(shape, dtype=np.complex128)
@@ -551,7 +552,7 @@ def _propagate_block(
             w = np.einsum("bni,bni->b", phi.conj(), phi).real
             if np.any(w < EXTINCTION_THRESHOLD):
                 bad = int(np.argmin(w))
-                raise TrajectoryExtinctError(float(w[bad]), k)
+                raise TrajectoryExtinctError(float(w[bad]), k, streams[bad])
             rho_b = np.einsum("bni,bnj->bij", phi, phi.conj()) / w[:, None, None]
             reduce(j, rho_b, w_final)
     else:

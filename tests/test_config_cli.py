@@ -1,10 +1,13 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from siwf.cli import main
-from siwf.config import parse_config
+from siwf.cli import _load_suite, main
+from siwf.config import parse_config, parse_config_dict
 from siwf.errors import ConfigError
 
 
@@ -249,13 +252,32 @@ class TestSimulateCli:
          "model.hamiltonian"),
         ("simulate", {"observables": [{"name": [1], "matrix": H_X}]},
          "observables[0].name"),
+        ("simulate", {"observables": [{"name": "up", "matrix": H_UPPER}]},
+         "observables[0].matrix"),
+        ("simulate", {"observables": ["sigma_z", "sigma_z",
+                                      {"name": "time", "matrix": H_X}]},
+         "observables[1]"),
+        ("simulate", {"observables": ["sigma_z",
+                                      {"name": "time", "matrix": H_X}]},
+         "observables[1]"),
+        ("simulate", {"observables": [{"name": "B_1", "matrix": H_X}]},
+         "observables[0]"),
+        ("simulate", {"equation": "linear",
+                      "observables": [{"name": "weight", "matrix": H_X}]},
+         "observables[0]"),
+        ("simulate", {"observables": [{"name": "sigma_z_se", "matrix": H_X},
+                                      "sigma_z"]},
+         "observables[0]"),
         ("simulate", {"t_final": float("inf")}, "t_final"),
         ("simulate", {"dt": 1e-10, "t_final": 1e300}, "t_final"),
         ("verify", {"dt": float("inf"), "checks": ["norm_conservation"]},
          "dt"),
     ], ids=["weights-string", "vectors-number", "vectors-empty",
             "potential-strings", "lindblads-number", "non-hermitian",
-            "observable-name-list", "t_final-inf", "steps-overflow",
+            "observable-name-list", "observable-non-hermitian",
+            "observable-duplicate", "observable-named-time",
+            "observable-named-record", "observable-named-weight",
+            "observable-named-se-column", "t_final-inf", "steps-overflow",
             "suite-dt-inf"])
     def test_malformed_config_names_key(self, tmp_path, capsys, command, doc,
                                         key):
@@ -356,6 +378,20 @@ class TestCompareCli:
         assert "convergence" in report
         assert report["convergence"]["ratio"] > 0
 
+    def test_gksl_dt_axis_reports_convergence(self, tmp_path, capsys):
+        model = {"preset": "qubit", "monitor": "x"}
+        a = write_config(tmp_path, "a.json", equation="gksl", dt=0.02,
+                         t_final=0.2, model=model, output_dir=str(tmp_path / "oa"))
+        b = write_config(tmp_path, "b.json", equation="gksl", dt=0.01,
+                         t_final=0.2, model=model, output_dir=str(tmp_path / "ob"))
+        assert main(["compare", "--a", str(a), "--b", str(b)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["axes"] == ["dt"]
+        conv = report["convergence"]
+        # RK4: halving the step cuts the discrepancy about 16-fold
+        assert 0 < conv["fine_vs_finer"] < conv["coarse_vs_fine"]
+        assert conv["ratio"] > 8
+
     def test_equation_axis(self, tmp_path, capsys):
         a = write_config(tmp_path, "a.json", equation="siwf",
                          output_dir=str(tmp_path / "oa"))
@@ -371,3 +407,89 @@ class TestCompareCli:
         b = write_config(tmp_path, "b.json", seed=2)
         assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
         assert "axes" in capsys.readouterr().err
+
+
+CLI_GOLDEN_FILE = Path(__file__).parent / "data" / "golden_cli.sha256"
+
+MIXED_QUBIT = {"kind": "mixed",
+               "matrix": [[[0.65, 0.0], [0.15, 0.05]],
+                          [[0.15, -0.05], [0.35, 0.0]]]}
+PURE_QUBIT = {"kind": "pure", "vector": [[0.8, 0.0], [0.0, 0.6]]}
+PROJ0 = {"name": "proj0", "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                     [[0.0, 0.0], [0.0, 0.0]]]}
+
+
+def cli_golden_digests(root: Path, monkeypatch) -> dict:
+    """sha256 of every file the CLI writes for the golden cases, keyed by
+    its path below ``root``.  Output directories are relative, so the
+    manifests do not depend on ``root``."""
+    base = {
+        "model": {"preset": "qubit", "omega": 1.0, "gamma": 0.8,
+                  "monitor": "x"},
+        "initial_state": MIXED_QUBIT,
+        "dt": 1e-3, "t_final": 0.03, "seed": 11, "save_stride": 4,
+        "observables": ["sigma_z", "sigma_x", PROJ0],
+        "dump_densities": True,
+    }
+    configs = root / "configs"
+    configs.mkdir()
+
+    def config(name, **changes):
+        path = configs / f"{name}.json"
+        path.write_text(json.dumps(dict(base, output_dir=name, **changes)))
+        return str(path)
+
+    def simulate(name, equation, **changes):
+        if equation == "nonlinear":
+            changes["initial_state"] = PURE_QUBIT
+        path = config(name, equation=equation, **changes)
+        assert main(["simulate", "--config", path]) == 0
+
+    for threads in (1, 2):
+        (root / f"t{threads}").mkdir()
+        monkeypatch.chdir(root / f"t{threads}")
+        monkeypatch.setenv("SIWF_THREADS", str(threads))
+        for equation in ("siwf", "nonlinear", "linear", "belavkin"):
+            simulate(f"mc-{equation}", equation, n_trajectories=300)
+        if threads == 2:
+            break
+        for equation in ("siwf", "nonlinear", "linear", "belavkin", "gksl"):
+            simulate(f"path-{equation}", equation)
+        a = config("cmp-a", dt=2e-3, save_stride=1)
+        b = config("cmp-b", dt=1e-3, save_stride=1)
+        assert main(["compare", "--a", a, "--b", b,
+                     "--output", "compare.json"]) == 0
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((root / "t1").rglob("*")) + sorted(
+            (root / "t2").rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestGoldenCli:
+    def test_cli_output_regression(self, tmp_path, monkeypatch, capsys):
+        expected = dict(
+            line.split() for line in CLI_GOLDEN_FILE.read_text().splitlines()
+        )
+        assert cli_golden_digests(tmp_path, monkeypatch) == expected, (
+            "CLI output bytes changed; if intentional, regenerate "
+            "tests/data/golden_cli.sha256 with cli_golden_digests()"
+        )
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_examples_parse(tmp_path):
+    blocks = [json.loads(text) for text in
+              re.findall(r"```json\n(.*?)```", README.read_text(), re.S)]
+    configs = [doc for doc in blocks if "model" in doc]
+    suites = [doc for doc in blocks if "checks" in doc]
+    assert configs and suites
+    for doc in configs:
+        parse_config_dict(doc)
+    for doc in suites:
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(doc))
+        _load_suite(str(path))

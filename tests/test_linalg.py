@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from siwf.errors import DensityMatrixError, DimensionMismatchError, NotHermitianError
+from siwf.errors import DensityMatrixError, NotHermitianError
 from siwf.linalg import (
     assert_density_matrix,
-    eig_reconstruct,
     hermitian_eig,
     hermiticity_defect,
     hermitize,
-    kron,
-    outer,
 )
 
 E1 = np.array([1, 0], dtype=complex)
@@ -19,32 +16,6 @@ E2 = np.array([0, 1], dtype=complex)
 def random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return hermitize(a)
-
-
-class TestOuter:
-    def test_projector_onto_basis_vector(self):
-        assert np.array_equal(outer(E1, E1), np.diag([1.0 + 0j, 0.0]))
-
-    def test_matrix_unit(self):
-        expected = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert np.array_equal(outer(E1, E2), expected)
-
-    def test_circular_state_projector(self):
-        # by hand: x = (1, i)/sqrt2, x_i conj(x_j) gives 1/2 [[1, -i], [i, 1]]
-        x = np.array([1, 1j]) / np.sqrt(2)
-        expected = 0.5 * np.array([[1, -1j], [1j, 1]])
-        assert np.allclose(outer(x, x), expected, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            outer(E1, np.array([1, 0, 0], dtype=complex))
-
-    def test_trace_is_inner_product(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            x = rng.normal(size=5) + 1j * rng.normal(size=5)
-            y = rng.normal(size=5) + 1j * rng.normal(size=5)
-            assert abs(np.trace(outer(x, y)) - np.vdot(y, x)) <= 1e-12
 
 
 class TestHermitianEig:
@@ -78,7 +49,8 @@ class TestHermitianEig:
         m = random_hermitian(rng, d)
         w, v = hermitian_eig(m)
         assert np.all(np.diff(w) <= 1e-12)
-        assert np.max(np.abs(eig_reconstruct(w, v) - m)) <= 1e-10
+        rebuilt = np.einsum("n,ni,nj->ij", w, v, v.conj())
+        assert np.max(np.abs(rebuilt - m)) <= 1e-10
         gram = v @ v.conj().T
         assert np.max(np.abs(gram - np.eye(d))) <= 1e-10
 
@@ -98,37 +70,6 @@ class TestHermitianEig:
             first = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
             assert first.imag == pytest.approx(0.0, abs=1e-12)
             assert first.real > 0
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_structure(self):
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        assert np.array_equal(kron(sz, np.eye(2)), np.diag([1, 1, -1, -1.0]))
-
-    def test_creation_with_qubit_flip(self):
-        # a^dag on 3 Fock levels has sqrt(1), sqrt(2) on the subdiagonal;
-        # its product with the flip places those entries in swapped blocks
-        adag = np.array(
-            [[0, 0, 0], [1, 0, 0], [0, np.sqrt(2), 0]], dtype=complex
-        )
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        expected = np.zeros((6, 6), dtype=complex)
-        expected[2, 1] = expected[3, 0] = 1.0
-        expected[4, 3] = expected[5, 2] = np.sqrt(2)
-        assert np.allclose(kron(adag, sx), expected, atol=1e-15)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(5)
-        mats = [
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            for _ in range(3)
-        ]
-        left = kron(kron(mats[0], mats[1]), mats[2])
-        right = kron(mats[0], kron(mats[1], mats[2]))
-        assert np.max(np.abs(left - right)) <= 1e-12
 
 
 class TestDensityValidation:

@@ -41,13 +41,6 @@ class TestStatistics:
 
 
 class TestPaths:
-    def test_cumulative_starts_at_zero(self):
-        path = generate_noise(5, 3, 0.01, 20)
-        w = path.cumulative()
-        assert w.shape == (21, 3)
-        assert np.array_equal(w[0], np.zeros(3))
-        assert np.allclose(w[-1], path.increments.sum(axis=0))
-
     def test_coarsen_sums_pairs(self):
         path = generate_noise(5, 2, 0.01, 10)
         coarse = coarsen(path, 2)

@@ -78,7 +78,6 @@ class TestInitEnsemble:
         )
         ens = init_ensemble(dec)
         assert np.array_equal(ens.components[2], np.zeros(2))
-        assert ens.n_active == 2
 
     def test_weight_sum_enforced(self):
         with pytest.raises(NormViolationError):

@@ -17,6 +17,8 @@ from siwf.noise import NoisePath, generate_noise
 from siwf.recordio import record_to_csv
 from siwf.states import InitialDecomposition, decompose_density
 from siwf.trajectories import (
+    BLOCK_SIZE,
+    EXTINCTION_THRESHOLD,
     MC_EQUATIONS,
     gksl_solve,
     monte_carlo_mean,
@@ -149,9 +151,28 @@ class TestLinearRoute:
         dt = 1e-3
         inc = np.full((300, 1), -0.1)
         noise = NoisePath(seed=0, n_channels=1, dt=dt, n_steps=300,
-                          increments=inc)
-        with pytest.raises(TrajectoryExtinctError):
+                          increments=inc, stream=7)
+        with pytest.raises(TrajectoryExtinctError) as err:
             run_linear_route(model, dec, noise)
+        assert err.value.trajectory == 7
+        assert "trajectory 7 " in str(err.value)
+
+    def test_monte_carlo_extinction_names_trajectory(self):
+        # L = 10 I at dt = 0.01 scales the weight by (0.5 + Z)^2 per step;
+        # on seed 4 the first block holds no extinct path and the second two
+        model = make_model(np.zeros((2, 2)), [10.0 * np.eye(2)])
+        dec = mixture([1.0], [E1])
+        kwargs = dict(dt=0.01, t_final=0.08)
+        _, w = weight_paths(model, dec, 512, 4, [0.08], **kwargs)
+        blocks = w[:, 0].reshape(2, BLOCK_SIZE)
+        first = int(np.flatnonzero((blocks < EXTINCTION_THRESHOLD).any(1))[0])
+        expected = first * BLOCK_SIZE + int(np.argmin(blocks[first]))
+        assert expected >= BLOCK_SIZE
+        with pytest.raises(TrajectoryExtinctError) as err:
+            monte_carlo_mean(model, dec, 512, 4, "linear_weighted", **kwargs)
+        assert err.value.trajectory == expected
+        assert err.value.weight == w[expected, 0]
+        assert f"trajectory {expected} " in str(err.value)
 
 
 class TestRecordSums:
