@@ -230,9 +230,15 @@ def cmd_compare(args) -> int:
                 f"finer dt {dt_fine}; paths cannot be shared"
             )
     extra_refine = 2 if "dt" in differing else 1
+    n_base = resolve_steps(dt_fine / extra_refine, cfg_a.t_final)
+    if n_base % (max(ratio_a, ratio_b) * extra_refine):
+        raise SiwfError(
+            f"t_final {cfg_a.t_final} is not a whole number of steps of both "
+            f"dt {cfg_a.dt} (config a) and dt {cfg_b.dt} (config b); paths "
+            f"cannot be shared"
+        )
     base = generate_noise(
-        cfg_a.seed, cfg_a.model.n_channels, dt_fine / extra_refine,
-        resolve_steps(dt_fine / extra_refine, cfg_a.t_final),
+        cfg_a.seed, cfg_a.model.n_channels, dt_fine / extra_refine, n_base
     )
 
     def run(cfg: SimConfig, noise):

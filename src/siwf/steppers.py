@@ -38,7 +38,7 @@ class StepContext:
     renormalize: bool = True
     # exp(G dt) under exponential_em, None otherwise
     propagator: np.ndarray | None = field(init=False, compare=False, repr=False)
-    # stacked operators of belavkin_step_batch, built once per context
+    # stacked operators of the batched kernels, built once per context
     _left_ops: np.ndarray = field(init=False, compare=False, repr=False)
     _sandwich_ops: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -82,56 +82,56 @@ def _check_dw(ctx: StepContext, dw) -> np.ndarray:
 def linear_step_batch(ctx: StepContext, phi: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """One step of the linear equation d phi = G phi dt + sum_l L_l phi dB_l.
 
-    ``phi`` has shape (B, N, d), ``dw`` shape (B, M).  Never normalizes:
-    the growing/shrinking norm is the reweighting density.
+    ``phi`` has shape (B, N, d), ``dw`` shape (B, >= M).  Never normalizes:
+    the growing/shrinking norm is the reweighting density.  One product of
+    the (B N, d) row block with the context's stack [dt G; L_1; ...; L_M]
+    (transposed; under exponential_em without dt G) gives every dt G phi and
+    L_l phi; the step is phi + sum_l dB_l L_l phi + dt G phi, or under
+    exponential_em P (phi + sum_l dB_l L_l phi), P = exp(G dt).
     """
-    ls = ctx.model.lindblads
-    stoch = np.zeros_like(phi)
-    for l, l_op in enumerate(ls):
-        stoch += (phi @ l_op.T) * dw[:, l, None, None]
-    if ctx.scheme == "exponential_em":
-        return (phi + stoch) @ ctx.propagator.T
-    return phi + (phi @ ctx.model.drift_generator.T) * ctx.dt + stoch
+    b, n, d = phi.shape
+    em = int(ctx.scheme == "euler_maruyama")  # stack index of L_1
+    prods = (phi.reshape(b * n, d) @ ctx._left_ops.T).reshape(b, n, -1, d)
+    dw = dw[:, : ctx.model.n_channels]
+    new = phi + np.einsum("bl,bnli->bni", dw, prods[:, :, em:])
+    if em:
+        return new + prods[:, :, 0]
+    return (new.reshape(b * n, d) @ ctx.propagator.T).reshape(b, n, d)
 
 
 def siwf_step_batch(ctx: StepContext, psi: np.ndarray, dw: np.ndarray):
     """One step of the interacting-ensemble equations.
 
-    ``psi`` has shape (B, N, d), ``dw`` shape (B, M).  The coupling
+    ``psi`` has shape (B, N, d), ``dw`` shape (B, >= M).  The coupling
     p_l = sum_n Re<psi_n, L_l psi_n> is evaluated once from the pre-step
     stack (non-anticipating), every component is advanced with drift
     G psi_n + sum_l (p_l L_l psi_n - p_l^2/2 psi_n) and diffusion
     sum_l (L_l psi_n - p_l psi_n) dW_l, and, if ``ctx.renormalize``, the
     whole stack is rescaled by one common factor.
 
+    As in ``linear_step_batch``, one product of the (B N, d) row block with
+    the stack [dt G; L_1; ...; L_M] gives every dt G psi_n and L_l psi_n, and
+    p_l is read off it.  The step is psi (1 - sum_l (p_l^2 dt/2 + p_l dW_l))
+    + sum_l (p_l dt + dW_l) L_l psi + dt G psi, with P = exp(G dt) applied
+    in place of dt G psi under exponential_em.
+
     Returns (new stack, couplings p (B, M), pre-rescale squared norms (B,)).
     """
-    ls = ctx.model.lindblads
-    n_ch = len(ls)
-    b = psi.shape[0]
-    p = np.empty((b, n_ch))
-    lpsi = []
-    for l, l_op in enumerate(ls):
-        lp = psi @ l_op.T
-        lpsi.append(lp)
-        p[:, l] = np.einsum("bni,bni->b", psi.conj(), lp).real
-    nl_drift = np.zeros_like(psi)
-    diffusion = np.zeros_like(psi)
-    for l in range(n_ch):
-        pl = p[:, l, None, None]
-        nl_drift += pl * lpsi[l] - 0.5 * pl**2 * psi
-        diffusion += (lpsi[l] - pl * psi) * dw[:, l, None, None]
-    if ctx.scheme == "exponential_em":
-        new = (psi + nl_drift * ctx.dt + diffusion) @ ctx.propagator.T
+    b, n, d = psi.shape
+    em = int(ctx.scheme == "euler_maruyama")  # stack index of L_1
+    prods = (psi.reshape(b * n, d) @ ctx._left_ops.T).reshape(b, n, -1, d)
+    lpsi = prods[:, :, em:]
+    p = np.einsum("bni,bnli->bl", psi.conj(), lpsi).real
+    dw = dw[:, : ctx.model.n_channels]
+    new = np.einsum("bl,bnli->bni", p * ctx.dt + dw, lpsi)
+    new += psi * (1.0 - np.einsum("bl,bl->b", p, 0.5 * ctx.dt * p + dw))[:, None, None]
+    if em:
+        new += prods[:, :, 0]
     else:
-        new = (
-            psi
-            + (psi @ ctx.model.drift_generator.T + nl_drift) * ctx.dt
-            + diffusion
-        )
+        new = (new.reshape(b * n, d) @ ctx.propagator.T).reshape(b, n, d)
     norm_sq = np.einsum("bni,bni->b", new.conj(), new).real
     if ctx.renormalize:
-        new = new / np.sqrt(norm_sq)[:, None, None]
+        new /= np.sqrt(norm_sq)[:, None, None]
     return new, p, norm_sq
 
 

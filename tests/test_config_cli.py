@@ -402,6 +402,13 @@ class TestCompareCli:
         assert report["axes"] == ["equation"]
         assert report["max_density_difference"] < 0.05
 
+    def test_t_final_off_the_coarse_grid_rejected(self, tmp_path, capsys):
+        a = write_config(tmp_path, "a.json", dt=0.02, t_final=0.05)
+        b = write_config(tmp_path, "b.json", dt=0.01, t_final=0.05)
+        assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+        err = capsys.readouterr().err
+        assert "t_final 0.05" in err and "dt 0.02" in err and "dt 0.01" in err
+
     def test_incomparable_configs_rejected(self, tmp_path, capsys):
         a = write_config(tmp_path, "a.json", seed=1)
         b = write_config(tmp_path, "b.json", seed=2)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from siwf.steppers import (
     StepContext,
     belavkin_step_batch,
     gksl_rhs,
+    linear_step_batch,
     siwf_step_batch,
     step_belavkin,
     step_gksl,
@@ -195,6 +198,72 @@ class TestBelavkinStep:
         rho = np.diag([0.7, 0.7]).astype(complex)
         with pytest.raises(DensityMatrixError):
             step_belavkin(ctx, rho, [0.1])
+
+
+def linear_einsum_reference(ctx, phi, dw):
+    """The per-channel loop form of the linear step, kept as a reference."""
+    ls = ctx.model.lindblads
+    stoch = np.zeros_like(phi)
+    for l, l_op in enumerate(ls):
+        stoch += (phi @ l_op.T) * dw[:, l, None, None]
+    if ctx.scheme == "exponential_em":
+        return (phi + stoch) @ ctx.propagator.T
+    return phi + (phi @ ctx.model.drift_generator.T) * ctx.dt + stoch
+
+
+def siwf_einsum_reference(ctx, psi, dw):
+    """The per-channel loop form of the ensemble step, kept as a reference."""
+    ls = ctx.model.lindblads
+    n_ch = len(ls)
+    b = psi.shape[0]
+    p = np.empty((b, n_ch))
+    lpsi = []
+    for l, l_op in enumerate(ls):
+        lp = psi @ l_op.T
+        lpsi.append(lp)
+        p[:, l] = np.einsum("bni,bni->b", psi.conj(), lp).real
+    nl_drift = np.zeros_like(psi)
+    diffusion = np.zeros_like(psi)
+    for l in range(n_ch):
+        pl = p[:, l, None, None]
+        nl_drift += pl * lpsi[l] - 0.5 * pl**2 * psi
+        diffusion += (lpsi[l] - pl * psi) * dw[:, l, None, None]
+    if ctx.scheme == "exponential_em":
+        new = (psi + nl_drift * ctx.dt + diffusion) @ ctx.propagator.T
+    else:
+        new = (
+            psi
+            + (psi @ ctx.model.drift_generator.T + nl_drift) * ctx.dt
+            + diffusion
+        )
+    norm_sq = np.einsum("bni,bni->b", new.conj(), new).real
+    if ctx.renormalize:
+        new = new / np.sqrt(norm_sq)[:, None, None]
+    return new, p, norm_sq
+
+
+class TestSiwfLinearKernels:
+    @pytest.mark.parametrize("scheme", ["euler_maruyama", "exponential_em"])
+    @pytest.mark.parametrize("n_ch", [0, 1, 2])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_match_einsum_references(self, scheme, n_ch, renormalize):
+        rng = np.random.default_rng(11)
+        cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # extra > 0: a wider increment is read in its first n_ch columns
+        for d, b, n, extra in itertools.product((2, 6, 16), (1, 5, 256),
+                                                (1, 2, 3), (0, 2)):
+            h = cplx(d, d)
+            model = make_model(h + h.conj().T, [cplx(d, d) / d for _ in range(n_ch)])
+            ctx = StepContext(model, scheme, 1e-3, renormalize)
+            psi = cplx(b, n, d)
+            psi /= np.sqrt(np.einsum("bni,bni->b", psi.conj(), psi).real)[:, None, None]
+            dw = rng.normal(scale=0.03, size=(b, n_ch + extra))
+            got = siwf_step_batch(ctx, psi, dw) + (linear_step_batch(ctx, psi, dw),)
+            ref = siwf_einsum_reference(ctx, psi, dw) + (
+                linear_einsum_reference(ctx, psi, dw),)
+            for x, y, shape in zip(got, ref, [(b, n, d), (b, n_ch), (b,), (b, n, d)]):
+                assert x.shape == y.shape == shape, (b, n, d)
+                assert np.max(np.abs(x - y), initial=0.0) <= 1e-13, (b, n, d)
 
 
 def belavkin_einsum_reference(ctx, rho, dw, renormalize):
