@@ -379,8 +379,16 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def _record_digest(rec) -> str:
+    series = [rec.ensembles, rec.innovations, rec.records]
+    return _digest(rec.times, rec.densities,
+                   *[a for a in series if a is not None],
+                   *rec.observables.values())
+
+
 def mc_golden_digests() -> dict:
-    """sha256 of every Monte Carlo result array, keyed by case."""
+    """sha256 of every Monte Carlo result array, and of the single-path
+    runs under the exponential scheme, keyed by case."""
     model, mixed, pure, obs = _mc_golden_setup()
     kwargs = dict(dt=1e-3, t_final=0.04, save_stride=7, observables=obs)
     out = {}
@@ -404,6 +412,31 @@ def mc_golden_digests() -> dict:
     times, w = weight_paths(model, mixed, 600, 33, [0.0, 0.02, 0.04],
                             dt=1e-3, t_final=0.04, threads=2)
     out["weight-paths"] = _digest(times, w)
+    # a repeated sample time: two sample slots read one saved state
+    got = sample_functionals(
+        model, mixed, 600, 37, "siwf",
+        {"x01": obs["x01"], "purity": purity}, [0.025, 0.01, 0.025, 0.04],
+        dt=1e-3, t_final=0.04, threads=2,
+    )
+    out["sample-functionals-siwf"] = _digest(
+        got.times, got.samples["x01"], got.samples["purity"]
+    )
+    for equation in ("siwf", "linear_weighted"):
+        s = monte_carlo_mean(model, mixed, 1, 36, equation, **kwargs)
+        m, se = s.observable_stats["x01"]
+        out[f"mean-{equation}-n1"] = _digest(s.times, s.mean, s.se, m, se)
+    unnormalized = dict(scheme="exponential_em", renormalize=False)
+    noise = generate_noise(34, model.n_channels, 1e-3, 40)
+    out["path-siwf-expm"] = _record_digest(run_siwf_trajectory(
+        model, mixed, noise, 7, observables=obs, **unnormalized))
+    out["path-nonlinear-expm"] = _record_digest(run_nonlinear_trajectory(
+        model, pure.vectors[0], noise, 7, observables=obs, **unnormalized))
+    out["path-belavkin-expm"] = _record_digest(run_belavkin_trajectory(
+        model, mixed.density(), noise, 7, observables=obs, **unnormalized))
+    s = monte_carlo_mean(model, mixed, 600, 35, "siwf", **kwargs,
+                         **unnormalized)
+    m, se = s.observable_stats["x01"]
+    out["mean-siwf-expm"] = _digest(s.times, s.mean, s.se, m, se)
     return out
 
 
