@@ -1,9 +1,14 @@
 """Trajectory drivers: single-path runs, the reweighted linear route, and
 deterministic-thread-count Monte Carlo averaging.
 
-Monte Carlo runs are vectorized over fixed-size blocks of trajectories.
-Each trajectory owns the noise substream (base_seed, trajectory_index), and
-block partial sums are combined in block order, so results are bit-identical
+The siwf, nonlinear and Belavkin single-path runners share one body,
+``_run_stack``: each integrates a one-trajectory stack with the batched
+kernels.  Monte Carlo runs are vectorized over fixed-size blocks of
+trajectories.  Each trajectory owns the noise substream (base_seed,
+trajectory_index).  A block returns plain data, (sums, samples, final
+weights): named per-saved-time sums, per-trajectory functional samples and
+the reweighted route's importance weights.  The blocks' sums are added with
+a plain left-to-right ``sum`` in block order, so results are bit-identical
 for any worker-thread count.
 """
 
@@ -14,27 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    SiwfError,
-    StepFailureError,
-    TrajectoryExtinctError,
-)
+from .errors import (DimensionMismatchError, SiwfError, StepFailureError,
+                     TrajectoryExtinctError)
 from .model import ModelSpec
 from .noise import NoisePath, generate_noise_block
-from .states import (
-    InitialDecomposition,
-    TrajectoryRecord,
-    init_ensemble,
-)
-from .steppers import (
-    StepContext,
-    belavkin_step_batch,
-    linear_step_batch,
-    siwf_step_batch,
-    step_gksl,
-    step_nonlinear_sse,
-)
+from .states import InitialDecomposition, TrajectoryRecord, init_ensemble
+# the kernels, StepContext and generate_noise_block are looked up in this
+# module's namespace at call time, so a tracer can wrap them here
+from .steppers import (StepContext, belavkin_step_batch, linear_step_batch,
+                       siwf_step_batch, step_gksl, step_nonlinear_sse)
 
 #: trajectories per vectorized block; fixed so that reductions do not depend
 #: on the worker-thread count
@@ -143,6 +136,22 @@ def _run_path(noise, n_ch, state, idx, advance, save, settle=None):
     return driving[idx], other[idx]
 
 
+def _run_stack(model, noise, save_stride, stack, advance):
+    """Integrate a one-trajectory stack (leading axis of one) along ``noise``
+    with ``advance`` (see ``_run_path``): (times, saved stacks without the
+    leading axis, W series, B series)."""
+    _check_noise(model, noise)
+    idx = save_indices(noise.n_steps, save_stride)
+    out = np.empty((idx.size,) + stack.shape[1:], dtype=np.complex128)
+
+    def save(j, k, s):
+        _ensure_finite(s, k)
+        out[j] = s[0]
+
+    w_out, b_out = _run_path(noise, model.n_channels, stack, idx, advance, save)
+    return idx * noise.dt, out, w_out, b_out
+
+
 def run_siwf_trajectory(
     model: ModelSpec,
     dec: InitialDecomposition,
@@ -157,24 +166,18 @@ def run_siwf_trajectory(
     Saves the ensemble, the assembled density, the cumulative driving noise
     W_l and the measurement record B_l every ``save_stride`` steps.
     """
-    _check_noise(model, noise)
     ctx = StepContext(model, scheme, noise.dt, renormalize)
-    idx = save_indices(noise.n_steps, save_stride)
-    psi = init_ensemble(dec).components[None].copy()
-    ens_out = np.empty((idx.size,) + psi.shape[1:], dtype=np.complex128)
-
-    def save(j, k, psi):
-        _ensure_finite(psi, k)
-        ens_out[j] = psi[0]
 
     def advance(psi, dw):
         psi, p, _ = siwf_step_batch(ctx, psi, dw[None, :])
         return psi, 2.0 * p[0]
 
-    w_out, b_out = _run_path(noise, model.n_channels, psi, idx, advance, save)
-    densities = np.einsum("kni,knj->kij", ens_out, ens_out.conj())
-    return _record(idx * noise.dt, densities, observables,
-                   ensembles=ens_out, innovations=w_out, records=b_out)
+    times, ens, w_out, b_out = _run_stack(
+        model, noise, save_stride, init_ensemble(dec).components[None], advance
+    )
+    densities = np.einsum("kni,knj->kij", ens, ens.conj())
+    return _record(times, densities, observables,
+                   ensembles=ens, innovations=w_out, records=b_out)
 
 
 def run_nonlinear_trajectory(
@@ -187,26 +190,20 @@ def run_nonlinear_trajectory(
     observables: dict | None = None,
 ) -> TrajectoryRecord:
     """Integrate the pure-state conditioned equation along one noise path."""
-    _check_noise(model, noise)
     ctx = StepContext(model, scheme, noise.dt, renormalize)
-    idx = save_indices(noise.n_steps, save_stride)
-    psi = np.asarray(psi0, dtype=np.complex128).copy()
-    ens_out = np.empty((idx.size, 1, psi.shape[0]), dtype=np.complex128)
-
-    def save(j, k, psi):
-        _ensure_finite(psi, k)
-        ens_out[j, 0] = psi
 
     def advance(psi, dw):
-        m = np.array(
-            [np.real(np.vdot(psi, l_op @ psi)) for l_op in model.lindblads]
-        )
-        return step_nonlinear_sse(ctx, psi, dw), 2.0 * m
+        v = psi[0, 0]
+        m = np.array([np.real(np.vdot(v, l_op @ v)) for l_op in model.lindblads])
+        return step_nonlinear_sse(ctx, v, dw)[None, None], 2.0 * m
 
-    w_out, b_out = _run_path(noise, model.n_channels, psi, idx, advance, save)
-    densities = np.einsum("kni,knj->kij", ens_out, ens_out.conj())
-    return _record(idx * noise.dt, densities, observables,
-                   ensembles=ens_out, innovations=w_out, records=b_out)
+    times, ens, w_out, b_out = _run_stack(
+        model, noise, save_stride,
+        np.asarray(psi0, dtype=np.complex128)[None, None], advance,
+    )
+    densities = np.einsum("kni,knj->kij", ens, ens.conj())
+    return _record(times, densities, observables,
+                   ensembles=ens, innovations=w_out, records=b_out)
 
 
 def run_linear_route(
@@ -276,23 +273,17 @@ def run_belavkin_trajectory(
     observables: dict | None = None,
 ) -> TrajectoryRecord:
     """Integrate the conditioned master equation directly along one path."""
-    _check_noise(model, noise)
     ctx = StepContext(model, scheme, noise.dt, renormalize)
-    idx = save_indices(noise.n_steps, save_stride)
-    rho = np.asarray(rho0, dtype=np.complex128)[None].copy()
-    dens_out = np.empty((idx.size, model.dim, model.dim), dtype=np.complex128)
-
-    def save(j, k, rho):
-        _ensure_finite(rho, k)
-        dens_out[j] = rho[0]
 
     def advance(rho, dw):
         rho, tr = belavkin_step_batch(ctx, rho, dw[None, :])
         return rho, 2.0 * tr[0]
 
-    w_out, b_out = _run_path(noise, model.n_channels, rho, idx, advance, save)
-    return _record(idx * noise.dt, dens_out, observables,
-                   innovations=w_out, records=b_out)
+    times, dens, w_out, b_out = _run_stack(
+        model, noise, save_stride, np.asarray(rho0, dtype=np.complex128)[None],
+        advance,
+    )
+    return _record(times, dens, observables, innovations=w_out, records=b_out)
 
 
 def gksl_solve(
@@ -367,91 +358,45 @@ class FunctionalSamples:
     equation: str
 
 
-class _Accumulator:
-    """Streaming per-block reductions combined in block order."""
-
-    def __init__(self, n_saved, dim, weighted, func_names, n_func):
-        shape = (n_saved, dim, dim)
-        self.weighted = weighted
-        self.sum_rho = np.zeros(shape, dtype=np.complex128)
-        self.sum_rho2 = np.zeros(shape)
-        self.sum_w = 0.0
-        self.sum_w2 = 0.0
-        self.sum_w2rho = np.zeros(shape, dtype=np.complex128)
-        self.sum_f = {n: np.zeros(n_saved) for n in func_names}
-        self.sum_f2 = {n: np.zeros(n_saved) for n in func_names}
-        self.sum_w2f = {n: np.zeros(n_saved) for n in func_names}
-        self.sum_w2f2 = {n: np.zeros(n_saved) for n in func_names}
-        self.raw = {n: [] for n in func_names} if n_func else {}
-        self.weights_final = []
-
-    def add(self, part):
-        if self.weighted:
-            self.sum_w += part["sum_w"]
-            self.sum_w2 += part["sum_w2"]
-            self.sum_rho += part["sum_wrho"]
-            self.sum_rho2 += part["sum_w2rho2"]
-            self.sum_w2rho += part["sum_w2rho"]
-            self.weights_final.append(part["weights_final"])
-        else:
-            self.sum_rho += part["sum_rho"]
-            self.sum_rho2 += part["sum_rho2"]
-        for name, val in part.get("func_sums", {}).items():
-            self.sum_f[name] += val[0]
-            self.sum_f2[name] += val[1]
-            if self.weighted:
-                self.sum_w2f[name] += val[2]
-                self.sum_w2f2[name] += val[3]
-        for name, arr in (part.get("func_raw") or {}).items():
-            self.raw[name].append(arr)
-
-    def density_stats(self, n_traj):
-        if self.weighted:
-            mean = self.sum_rho / self.sum_w
-            dev2 = (
-                self.sum_rho2
-                - 2.0 * np.real(mean.conj() * self.sum_w2rho)
-                + np.abs(mean) ** 2 * self.sum_w2
-            )
-            se = np.sqrt(np.clip(dev2, 0.0, None)) / self.sum_w
-            return mean, se
-        mean = self.sum_rho / n_traj
-        if n_traj > 1:
-            var = (self.sum_rho2 - n_traj * np.abs(mean) ** 2) / (n_traj - 1)
-            se = np.sqrt(np.clip(var, 0.0, None) / n_traj)
-        else:
-            se = np.zeros_like(self.sum_rho2)
-        return mean, se
-
-    def functional_stats(self, n_traj):
-        out = {}
-        for name in self.sum_f:
-            if self.weighted:
-                m = self.sum_f[name] / self.sum_w
-                dev2 = (
-                    self.sum_w2f2[name]
-                    - 2.0 * m * self.sum_w2f[name]
-                    + m * m * self.sum_w2
-                )
-                s = np.sqrt(np.clip(dev2, 0.0, None)) / self.sum_w
-            else:
-                m = self.sum_f[name] / n_traj
-                if n_traj > 1:
-                    var = (self.sum_f2[name] - n_traj * m * m) / (n_traj - 1)
-                    s = np.sqrt(np.clip(var, 0.0, None) / n_traj)
-                else:
-                    s = np.zeros_like(m)
-            out[name] = (m, s)
-        return out
+def _density_stats(sums, n_traj):
+    """Entrywise (mean, se) of the density from the summed block sums."""
+    if "w" in sums:
+        mean = sums["wrho"] / sums["w"]
+        dev2 = (
+            sums["w2rho2"]
+            - 2.0 * np.real(mean.conj() * sums["w2rho"])
+            + np.abs(mean) ** 2 * sums["w2"]
+        )
+        return mean, np.sqrt(np.clip(dev2, 0.0, None)) / sums["w"]
+    mean = sums["rho"] / n_traj
+    if n_traj > 1:
+        var = (sums["rho2"] - n_traj * np.abs(mean) ** 2) / (n_traj - 1)
+        se = np.sqrt(np.clip(var, 0.0, None) / n_traj)
+    else:
+        se = np.zeros_like(sums["rho2"])
+    return mean, se
 
 
-def _evaluate_functionals(functionals, rho_b):
+def _functional_stats(sums, n_traj, names):
+    """name -> (mean, se) series of each functional from the block sums."""
     out = {}
-    for name, spec in functionals.items():
-        if callable(spec):
-            out[name] = np.asarray(spec(rho_b), dtype=float)
+    for name in names:
+        if "w" in sums:
+            m = sums[f"wf:{name}"] / sums["w"]
+            dev2 = (
+                sums[f"w2f2:{name}"]
+                - 2.0 * m * sums[f"w2f:{name}"]
+                + m * m * sums["w2"]
+            )
+            s = np.sqrt(np.clip(dev2, 0.0, None)) / sums["w"]
         else:
-            out[name] = np.einsum("bij,ji->b", rho_b, spec).real
+            m = sums[f"f:{name}"] / n_traj
+            if n_traj > 1:
+                var = (sums[f"f2:{name}"] - n_traj * m * m) / (n_traj - 1)
+                s = np.sqrt(np.clip(var, 0.0, None) / n_traj)
+            else:
+                s = np.zeros_like(m)
+        out[name] = (m, s)
     return out
 
 
@@ -460,19 +405,56 @@ def _initial_stack(dec, block):
     return np.broadcast_to(psi0, (block,) + psi0.shape).copy()
 
 
-def _propagate_block(
-    model,
-    ctx,
-    equation,
-    dec,
-    seed,
-    streams,
-    n_steps,
-    idx,
-    functionals,
-    func_positions,
-):
-    """Advance one block of trajectories and return its partial sums.
+def _weights(phi, k, streams):
+    """Importance weights ||phi||^2 of a (B, N, d) block at step k; an
+    extinct trajectory raises, naming its stream."""
+    w = np.einsum("bni,bni->b", phi.conj(), phi).real
+    if np.any(w < EXTINCTION_THRESHOLD):
+        bad = int(np.argmin(w))
+        raise TrajectoryExtinctError(float(w[bad]), k, streams[bad])
+    return w
+
+
+def _save_sums(rho_b, w_final, functionals):
+    """(named sums over one saved (B, d, d) density stack, per-trajectory
+    functional values).  Plain: rho, rho2 = sum |rho|^2, f:<name>, f2:<name>.
+    Reweighted by the final weights w: wrho = sum w rho, w2rho, w2rho2 =
+    sum w^2 |rho|^2 and wf:, w2f:, w2f2: likewise."""
+    values = {
+        name: np.asarray(spec(rho_b), dtype=float) if callable(spec)
+        else np.einsum("bij,ji->b", rho_b, spec).real
+        for name, spec in functionals.items()
+    }
+    if w_final is None:
+        out = {"rho": rho_b.sum(axis=0),
+               "rho2": (np.abs(rho_b) ** 2).sum(axis=0)}
+        for name, v in values.items():
+            out[f"f:{name}"] = float(np.sum(v))
+            out[f"f2:{name}"] = float(np.sum(v * v))
+        return out, values
+    out = {
+        "wrho": np.einsum("b,bij->ij", w_final, rho_b),
+        "w2rho": np.einsum("b,bij->ij", w_final**2, rho_b),
+        "w2rho2": np.einsum("b,bij->ij", w_final**2, np.abs(rho_b) ** 2).real,
+    }
+    for name, v in values.items():
+        out[f"wf:{name}"] = float(np.sum(w_final * v))
+        out[f"w2f:{name}"] = float(np.sum(w_final**2 * v))
+        out[f"w2f2:{name}"] = float(np.sum(w_final**2 * v * v))
+    return out, values
+
+
+def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
+                     functionals, func_positions):
+    """Advance one block of trajectories: (sums, samples, final weights),
+    all plain arrays.
+
+    ``sums`` maps each name of ``_save_sums`` to its array over the saved
+    times; the reweighted route adds the scalars w = sum w, w2 = sum w^2.
+    ``samples`` maps each functional to its (B, slots) values, slot i read
+    at save ``func_positions[i]``.  The final importance weights are None
+    off the reweighted route.  ``_run_blocks`` adds the sums of all blocks
+    in block order.
 
     The unweighted equations reduce each saved state as it is reached.  The
     reweighted route keeps references to its saved stacks (every kernel
@@ -480,12 +462,10 @@ def _propagate_block(
     then checks and reduces them in save order.
     """
     block = len(streams)
-    dim = model.dim
     dw = generate_noise_block(seed, model.n_channels, ctx.dt, n_steps, streams)
-    weighted = equation == "linear_weighted"
 
     if equation == "belavkin":
-        state = np.broadcast_to(dec.density(), (block, dim, dim)).copy()
+        state = np.broadcast_to(dec.density(), (block,) + (model.dim,) * 2).copy()
         step = lambda k, s: belavkin_step_batch(ctx, s, dw[:, k, :])[0]
     else:
         state = _initial_stack(dec, block)
@@ -493,71 +473,35 @@ def _propagate_block(
             raise SiwfError(
                 "the pure-state equation needs a single-component initial state"
             )
-        if weighted:
+        if equation == "linear_weighted":
             step = lambda k, s: linear_step_batch(ctx, s, dw[:, k, :])
         else:
             step = lambda k, s: siwf_step_batch(ctx, s, dw[:, k, :])[0]
 
-    n_saved = idx.size
-    shape = (n_saved, dim, dim)
-    part = {}
-    func_sums = {n: [np.zeros(n_saved) for _ in range(4)] for n in functionals}
-    func_raw = (
-        {n: np.empty((block, len(func_positions))) for n in functionals}
-        if func_positions is not None
-        else None
-    )
+    rows = []
+    samples = {n: np.empty((block, len(func_positions))) for n in functionals}
 
     def reduce(j, rho_b, w_final):
-        if weighted:
-            part["sum_wrho"][j] = np.einsum("b,bij->ij", w_final, rho_b)
-            part["sum_w2rho"][j] = np.einsum("b,bij->ij", w_final**2, rho_b)
-            part["sum_w2rho2"][j] = np.einsum(
-                "b,bij->ij", w_final**2, np.abs(rho_b) ** 2
-            ).real
-        else:
-            part["sum_rho"][j] = rho_b.sum(axis=0)
-            part["sum_rho2"][j] = (np.abs(rho_b) ** 2).sum(axis=0)
-        for name, v in _evaluate_functionals(functionals, rho_b).items():
-            if weighted:
-                func_sums[name][0][j] = float(np.sum(w_final * v))
-                func_sums[name][2][j] = float(np.sum(w_final**2 * v))
-                func_sums[name][3][j] = float(np.sum(w_final**2 * v * v))
-            else:
-                func_sums[name][0][j] = float(np.sum(v))
-            func_sums[name][1][j] = float(np.sum(v * v))
-            if func_raw is not None:
-                for slot, pos in enumerate(func_positions):
-                    if pos == j:
-                        func_raw[name][:, slot] = v
+        row, values = _save_sums(rho_b, w_final, functionals)
+        rows.append(row)
+        for slot, pos in enumerate(func_positions):
+            if pos == j:
+                for name, v in values.items():
+                    samples[name][:, slot] = v
 
-    if weighted:
+    w_final = None
+    if equation == "linear_weighted":
         saved = []
         phi = _integrate(
             state, n_steps, idx, step, lambda j, k, s: saved.append(s)
         )
-        w_final = np.einsum("bni,bni->b", phi.conj(), phi).real
-        if np.any(w_final < EXTINCTION_THRESHOLD):
-            bad = int(np.argmin(w_final))
-            raise TrajectoryExtinctError(float(w_final[bad]), n_steps,
-                                         streams[bad])
-        part["sum_w"] = float(np.sum(w_final))
-        part["sum_w2"] = float(np.sum(w_final**2))
-        part["sum_wrho"] = np.zeros(shape, dtype=np.complex128)
-        part["sum_w2rho"] = np.zeros(shape, dtype=np.complex128)
-        part["sum_w2rho2"] = np.zeros(shape)
-        part["weights_final"] = w_final
+        w_final = _weights(phi, n_steps, streams)
         for j, (k, phi) in enumerate(zip(idx.tolist(), saved)):
             _ensure_finite(phi, k)
-            w = np.einsum("bni,bni->b", phi.conj(), phi).real
-            if np.any(w < EXTINCTION_THRESHOLD):
-                bad = int(np.argmin(w))
-                raise TrajectoryExtinctError(float(w[bad]), k, streams[bad])
+            w = _weights(phi, k, streams)
             rho_b = np.einsum("bni,bnj->bij", phi, phi.conj()) / w[:, None, None]
             reduce(j, rho_b, w_final)
     else:
-        part["sum_rho"] = np.zeros(shape, dtype=np.complex128)
-        part["sum_rho2"] = np.zeros(shape)
 
         def save(j, k, s):
             _ensure_finite(s, k)
@@ -567,9 +511,10 @@ def _propagate_block(
 
         _integrate(state, n_steps, idx, step, save)
 
-    part["func_sums"] = func_sums
-    part["func_raw"] = func_raw
-    return part
+    sums = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    if w_final is not None:
+        sums.update(w=float(np.sum(w_final)), w2=float(np.sum(w_final**2)))
+    return sums, samples, w_final
 
 
 def _map_blocks(n_traj, threads, work):
@@ -612,13 +557,14 @@ def _run_blocks(
             n_steps, idx, functionals, func_positions,
         )
 
-    acc = _Accumulator(
-        idx.size, model.dim, equation == "linear_weighted",
-        list(functionals), func_positions is not None,
+    # block results come back in block order, so the plain left-to-right
+    # sums below round the same way for any thread count
+    sums, samples, weights = zip(*_map_blocks(n_traj, threads, work))
+    return (
+        {key: sum(s[key] for s in sums) for key in sums[0]},
+        {name: np.concatenate([s[name] for s in samples]) for name in samples[0]},
+        None if weights[0] is None else np.concatenate(weights),
     )
-    for p in _map_blocks(n_traj, threads, work):
-        acc.add(p)
-    return acc
 
 
 def monte_carlo_mean(
@@ -647,18 +593,18 @@ def monte_carlo_mean(
     n_steps = resolve_steps(dt, t_final)
     idx = save_indices(n_steps, save_stride)
     functionals = dict(observables or {})
-    acc = _run_blocks(
+    sums, _, _ = _run_blocks(
         model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
-        scheme, renormalize, threads, functionals, None,
+        scheme, renormalize, threads, functionals, [],
     )
-    mean, se = acc.density_stats(n_traj)
+    mean, se = _density_stats(sums, n_traj)
     return MeanSeries(
         times=idx * dt,
         mean=mean,
         se=se,
         n_traj=n_traj,
         equation=equation,
-        observable_stats=acc.functional_stats(n_traj),
+        observable_stats=_functional_stats(sums, n_traj, functionals),
     )
 
 
@@ -684,15 +630,9 @@ def sample_functionals(
     """
     n_steps = resolve_steps(dt, t_final)
     req, idx, func_positions = _sample_schedule(sample_times, dt, n_steps)
-    acc = _run_blocks(
+    _, samples, weights = _run_blocks(
         model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
         scheme, renormalize, threads, dict(functionals), func_positions,
-    )
-    samples = {
-        name: np.concatenate(chunks, axis=0) for name, chunks in acc.raw.items()
-    }
-    weights = (
-        np.concatenate(acc.weights_final) if acc.weights_final else None
     )
     return FunctionalSamples(
         times=np.asarray(req, dtype=float) * dt,
