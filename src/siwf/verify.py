@@ -45,6 +45,37 @@ RECORD_FLOOR = 1e-12
 #: Brownian path used by the dt-halving cross-checks (see default_suite)
 CONVERGENCE_PATH_SEED = 15
 
+#: factor by which halving dt must shrink the siwf-Belavkin discrepancy
+REQUIRED_HALVING_RATIO = 1.5
+
+#: level of the two-sample KS tests
+KS_ALPHA = 0.01
+
+#: standard errors a linear-route estimate may sit from the direct one
+LINEAR_ROUTE_N_SE = 4.0
+
+#: the check families of ``default_suite``, in run order
+SUITE_CHECKS = (
+    "model_identities",
+    "norm_conservation",
+    "record_consistency",
+    "gksl_mean",
+    "siwf_vs_belavkin",
+    "martingale",
+    "linear_route_equivalence",
+    "decomposition_invariance",
+)
+
+#: the keys of a suite document and their defaults, which are also
+#: ``default_suite``'s; ``seed`` is its ``base_seed``
+SUITE_DEFAULTS = {
+    "seed": 20_240_501,
+    "n_traj": 10_000,
+    "dt": 1e-3,
+    "include_negative_controls": True,
+    "checks": None,
+}
+
 
 @dataclass
 class CheckReport:
@@ -106,9 +137,9 @@ def ks_two_sample(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value at level alpha."""
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
+def ks_critical_value(n: int, m: int) -> float:
+    """Asymptotic two-sample KS critical value at level KS_ALPHA."""
+    c = math.sqrt(-0.5 * math.log(KS_ALPHA / 2.0))
     return c * math.sqrt((n + m) / (n * m))
 
 
@@ -226,7 +257,6 @@ def check_siwf_vs_belavkin(
     dt: float = 1e-3,
     t_final: float = 1.0,
     scheme: str = "euler_maruyama",
-    required_ratio: float = 1.5,
     name: str = "siwf-vs-belavkin",
 ) -> CheckReport:
     """Ensemble and direct conditioned-density integration must converge to
@@ -234,7 +264,8 @@ def check_siwf_vs_belavkin(
 
     Runs both integrators on the same Brownian path at dt and dt/2 and
     requires the max-norm discrepancy over the final time to shrink by
-    ``required_ratio``.  Statistic is required_ratio / observed_ratio.
+    REQUIRED_HALVING_RATIO.  Statistic is REQUIRED_HALVING_RATIO /
+    observed_ratio.
     """
     n_fine = resolve_steps(dt / 2, t_final)
     fine = generate_noise(base_seed, model.n_channels, dt / 2, n_fine)
@@ -253,7 +284,7 @@ def check_siwf_vs_belavkin(
     d_coarse = discrepancy(coarsen(fine, 2))
     d_fine = discrepancy(fine)
     ratio = d_coarse / d_fine if d_fine > 0 else math.inf
-    stat = 0.0 if d_coarse <= RECORD_FLOOR else required_ratio / ratio
+    stat = 0.0 if d_coarse <= RECORD_FLOOR else REQUIRED_HALVING_RATIO / ratio
     return _report(
         name,
         "exact",
@@ -310,7 +341,6 @@ def check_decomposition_invariance(
     dt: float = 1e-3,
     scheme: str = "euler_maruyama",
     threads: int = 1,
-    alpha: float = 0.01,
     name: str = "decomposition-invariance",
 ) -> CheckReport:
     """Two decompositions of the same initial state must give statistically
@@ -318,7 +348,7 @@ def check_decomposition_invariance(
 
     Both decompositions must reconstruct rho0; the check then compares the
     empirical distributions of Re tr(rho_t A) at ``t_check`` over
-    independent trajectory sets with a two-sample KS test at level alpha.
+    independent trajectory sets with a two-sample KS test at level KS_ALPHA.
     """
     rho0 = np.asarray(rho0, dtype=np.complex128)
     for tag, dec in (("a", dec_a), ("b", dec_b)):
@@ -336,7 +366,7 @@ def check_decomposition_invariance(
         )
         samples.append(got.samples["f"][:, 0])
     stat = ks_two_sample(samples[0], samples[1])
-    threshold = ks_critical_value(n_traj, n_traj, alpha)
+    threshold = ks_critical_value(n_traj, n_traj)
     return _report(
         name,
         "statistical",
@@ -356,13 +386,12 @@ def check_linear_route_equivalence(
     dt: float = 1e-3,
     scheme: str = "euler_maruyama",
     threads: int = 1,
-    n_se: float = 4.0,
     name: str = "linear-route-equivalence",
 ) -> CheckReport:
     """Reweighted linear-route estimates must match direct ensemble ones.
 
     Statistic: max over functionals and times of
-    |weighted - direct| / (n_se * combined SE).
+    |weighted - direct| / (LINEAR_ROUTE_N_SE * combined SE).
     """
     if functionals is None:
         functionals = {"f": np.diag([1.0, -1.0]).astype(np.complex128)}
@@ -390,7 +419,7 @@ def check_linear_route_equivalence(
             ((w[:, None] ** 2) * (vb - m_b) ** 2).sum(axis=0)
         ) / w.sum()
         combined = np.sqrt(se_a**2 + se_b**2)
-        gap = np.abs(m_a - m_b) / (n_se * combined + STAT_FLOOR)
+        gap = np.abs(m_a - m_b) / (LINEAR_ROUTE_N_SE * combined + STAT_FLOOR)
         stat = max(stat, float(np.max(gap)))
         details.append(f"{fname}: max gap {float(np.max(gap)):.3f}")
     return _report(
@@ -445,16 +474,17 @@ def _box_dec(model):
 
 
 def default_suite(
-    base_seed: int = 20_240_501,
-    n_traj: int = 10_000,
-    dt: float = 1e-3,
+    base_seed: int = SUITE_DEFAULTS["seed"],
+    n_traj: int = SUITE_DEFAULTS["n_traj"],
+    dt: float = SUITE_DEFAULTS["dt"],
     threads: int = 1,
-    include_negative_controls: bool = True,
-    checks: list | None = None,
+    include_negative_controls: bool = (
+        SUITE_DEFAULTS["include_negative_controls"]),
+    checks: list | None = SUITE_DEFAULTS["checks"],
 ) -> list[CheckReport]:
     """Run the standard battery on the qubit, Rabi and box test models.
 
-    ``checks`` restricts to a subset of check names; None means all.
+    ``checks`` restricts to a subset of SUITE_CHECKS; None means all.
     """
     qubit, damping, rabi, box = _suite_models()
     sz = np.array([[1.0, 0], [0, -1.0]], dtype=np.complex128)
@@ -464,10 +494,9 @@ def default_suite(
     pure_e = decompose_density(np.diag([1.0, 0.0]).astype(np.complex128))
     reports: list[CheckReport] = []
 
-    def wanted(label: str) -> bool:
-        return checks is None or label in checks
+    wanted = {c: checks is None or c in checks for c in SUITE_CHECKS}
 
-    if wanted("model_identities"):
+    if wanted["model_identities"]:
         for tag, m in (("qubit", qubit), ("rabi", rabi), ("box", box)):
             reports.append(check_model_identities(m, name=f"model-identities[{tag}]"))
         if include_negative_controls:
@@ -486,7 +515,7 @@ def default_suite(
                 )
             )
 
-    if wanted("norm_conservation"):
+    if wanted["norm_conservation"]:
         for renorm, thresh_tag in ((True, "on"), (False, "off")):
             noise = generate_noise(base_seed + 11, rabi.n_channels, dt,
                                    resolve_steps(dt, 1.0))
@@ -500,7 +529,7 @@ def default_suite(
                 )
             )
 
-    if wanted("record_consistency"):
+    if wanted["record_consistency"]:
         for tag, m, dec, scheme in (
             ("rabi", rabi, rdec, "euler_maruyama"),
             ("box", box, bdec, "exponential_em"),
@@ -513,7 +542,7 @@ def default_suite(
                 check_record_consistency(rec, m, name=f"record-consistency[{tag}]")
             )
 
-    if wanted("gksl_mean"):
+    if wanted["gksl_mean"]:
         reports.append(
             check_gksl_mean(
                 damping, pure_e, n_traj, [1.0],
@@ -529,7 +558,7 @@ def default_suite(
             )
         )
 
-    if wanted("siwf_vs_belavkin"):
+    if wanted["siwf_vs_belavkin"]:
         # the halving ratio is a noisy statistic concentrated near sqrt(2);
         # these fixed paths give stable margins over the 1.5 requirement
         reports.append(
@@ -546,7 +575,7 @@ def default_suite(
             )
         )
 
-    if wanted("martingale"):
+    if wanted["martingale"]:
         reports.append(
             check_martingale(
                 qubit, qdec, n_traj, [0.25, 0.5, 1.0],
@@ -562,7 +591,7 @@ def default_suite(
             )
         )
 
-    if wanted("linear_route_equivalence"):
+    if wanted["linear_route_equivalence"]:
         reports.append(
             check_linear_route_equivalence(
                 qubit, qdec, n_traj, {"tr_rho_sz": sz},
@@ -571,7 +600,7 @@ def default_suite(
             )
         )
 
-    if wanted("decomposition_invariance"):
+    if wanted["decomposition_invariance"]:
         half = 0.5 * np.eye(2, dtype=np.complex128)
         dec_eigen = decompose_density(half)
         rot = np.array(
