@@ -44,27 +44,7 @@ from .trajectories import (
     run_nonlinear_trajectory,
     run_siwf_trajectory,
 )
-from .verify import default_suite, format_table
-
-SUITE_CHECKS = (
-    "model_identities",
-    "norm_conservation",
-    "record_consistency",
-    "gksl_mean",
-    "siwf_vs_belavkin",
-    "martingale",
-    "linear_route_equivalence",
-    "decomposition_invariance",
-)
-
-#: suite keys and their defaults; ``seed`` is default_suite's ``base_seed``
-_SUITE_DEFAULTS = {
-    "seed": 20_240_501,
-    "n_traj": 10_000,
-    "dt": 1e-3,
-    "include_negative_controls": True,
-    "checks": None,
-}
+from .verify import SUITE_CHECKS, SUITE_DEFAULTS, default_suite, format_table
 
 
 def _threads() -> int:
@@ -112,6 +92,14 @@ def cmd_simulate(args) -> int:
         if getattr(args, key) is not None
     })
     threads = _threads()
+    # resolve_steps rounds: an off-grid t_final would silently run past or
+    # short of it
+    steps = cfg.t_final / cfg.dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(
+            "t_final", f"must be a whole number of dt {cfg.dt} steps, got "
+            f"{cfg.t_final} ({steps:.6g} steps)"
+        )
     outdir = Path(cfg.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -162,8 +150,8 @@ def _load_suite(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "<root>", "suite must be a JSON object")
-    _check_keys(doc, set(_SUITE_DEFAULTS), "")
-    suite = {**_SUITE_DEFAULTS, **doc}
+    _check_keys(doc, set(SUITE_DEFAULTS), "")
+    suite = {**SUITE_DEFAULTS, **doc}
     seed, n_traj = suite["seed"], suite["n_traj"]
     _require(isinstance(seed, int) and not isinstance(seed, bool),
              "seed", "must be an integer")
@@ -185,7 +173,7 @@ def _load_suite(path: str) -> dict:
 
 def cmd_verify(args) -> int:
     threads = _threads()
-    suite = _load_suite(args.suite) if args.suite else dict(_SUITE_DEFAULTS)
+    suite = _load_suite(args.suite) if args.suite else dict(SUITE_DEFAULTS)
     if args.output and not Path(args.output).parent.is_dir():
         raise SiwfError(
             f"--output '{args.output}': directory does not exist"

@@ -226,6 +226,15 @@ class TestSimulateCli:
         header = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[0]
         assert header.split(",")[-1] == "weight"
 
+    def test_t_final_on_the_dt_grid_accepted(self, tmp_path):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        cfg = write_config(tmp_path, dt=0.1, t_final=0.3, save_stride=1,
+                           output_dir=str(tmp_path / "o"))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == pytest.approx(
+            [0.0, 0.1, 0.2, 0.3])
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"preset": "qubit"}, "dt": -1}))
@@ -270,6 +279,8 @@ class TestSimulateCli:
          "observables[0]"),
         ("simulate", {"t_final": float("inf")}, "t_final"),
         ("simulate", {"dt": 1e-10, "t_final": 1e300}, "t_final"),
+        ("simulate", {"dt": 0.02, "t_final": 0.07}, "t_final"),
+        ("simulate", {"dt": 0.02, "t_final": 0.05}, "t_final"),
         ("verify", {"dt": float("inf"), "checks": ["norm_conservation"]},
          "dt"),
     ], ids=["weights-string", "vectors-number", "vectors-empty",
@@ -278,7 +289,7 @@ class TestSimulateCli:
             "observable-duplicate", "observable-named-time",
             "observable-named-record", "observable-named-weight",
             "observable-named-se-column", "t_final-inf", "steps-overflow",
-            "suite-dt-inf"])
+            "t_final-off-grid-up", "t_final-off-grid-down", "suite-dt-inf"])
     def test_malformed_config_names_key(self, tmp_path, capsys, command, doc,
                                         key):
         if command == "simulate":
