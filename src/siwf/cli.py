@@ -81,6 +81,17 @@ def _write(path, text: str) -> None:
         raise SiwfError(f"cannot write '{path}': {exc}") from exc
 
 
+def _check_on_grid(t_final: float, dt: float) -> None:
+    """resolve_steps rounds t_final / dt, so an off-grid t_final would
+    silently run past or short of it: reject it instead."""
+    steps = t_final / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(
+            "t_final", f"must be a whole number of dt {dt} steps, got "
+            f"{t_final} ({steps:.6g} steps)"
+        )
+
+
 #: simulate flags that, when given, override the config key of their name
 _OVERRIDES = ("seed", "dt", "t_final", "n_trajectories", "equation", "scheme",
               "save_stride", "output_dir", "renormalize", "dump_densities")
@@ -92,14 +103,7 @@ def cmd_simulate(args) -> int:
         if getattr(args, key) is not None
     })
     threads = _threads()
-    # resolve_steps rounds: an off-grid t_final would silently run past or
-    # short of it
-    steps = cfg.t_final / cfg.dt
-    if abs(steps - round(steps)) > 1e-9 * steps:
-        raise ConfigError(
-            "t_final", f"must be a whole number of dt {cfg.dt} steps, got "
-            f"{cfg.t_final} ({steps:.6g} steps)"
-        )
+    _check_on_grid(cfg.t_final, cfg.dt)
     outdir = Path(cfg.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -217,6 +221,7 @@ def cmd_compare(args) -> int:
                 f"config {tag} dt {cfg.dt} is not an integer multiple of the "
                 f"finer dt {dt_fine}; paths cannot be shared"
             )
+    _check_on_grid(cfg_a.t_final, dt_fine)
     extra_refine = 2 if "dt" in differing else 1
     n_base = resolve_steps(dt_fine / extra_refine, cfg_a.t_final)
     if n_base % (max(ratio_a, ratio_b) * extra_refine):

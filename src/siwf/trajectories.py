@@ -462,10 +462,12 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
     then checks and reduces them in save order.
     """
     block = len(streams)
+    dim = model.dim
     dw = generate_noise_block(seed, model.n_channels, ctx.dt, n_steps, streams)
+    weighted = equation == "linear_weighted"
 
     if equation == "belavkin":
-        state = np.broadcast_to(dec.density(), (block,) + (model.dim,) * 2).copy()
+        state = np.broadcast_to(dec.density(), (block, dim, dim)).copy()
         step = lambda k, s: belavkin_step_batch(ctx, s, dw[:, k, :])[0]
     else:
         state = _initial_stack(dec, block)
@@ -473,7 +475,7 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
             raise SiwfError(
                 "the pure-state equation needs a single-component initial state"
             )
-        if equation == "linear_weighted":
+        if weighted:
             step = lambda k, s: linear_step_batch(ctx, s, dw[:, k, :])
         else:
             step = lambda k, s: siwf_step_batch(ctx, s, dw[:, k, :])[0]
@@ -490,11 +492,9 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
                     samples[name][:, slot] = v
 
     w_final = None
-    if equation == "linear_weighted":
+    if weighted:
         saved = []
-        phi = _integrate(
-            state, n_steps, idx, step, lambda j, k, s: saved.append(s)
-        )
+        phi = _integrate(state, n_steps, idx, step, lambda j, k, s: saved.append(s))
         w_final = _weights(phi, n_steps, streams)
         for j, (k, phi) in enumerate(zip(idx.tolist(), saved)):
             _ensure_finite(phi, k)
@@ -512,7 +512,7 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
         _integrate(state, n_steps, idx, step, save)
 
     sums = {key: np.array([row[key] for row in rows]) for key in rows[0]}
-    if w_final is not None:
+    if weighted:
         sums.update(w=float(np.sum(w_final)), w2=float(np.sum(w_final**2)))
     return sums, samples, w_final
 

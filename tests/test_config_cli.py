@@ -420,6 +420,13 @@ class TestCompareCli:
         err = capsys.readouterr().err
         assert "t_final 0.05" in err and "dt 0.02" in err and "dt 0.01" in err
 
+    def test_t_final_off_the_shared_grid_rejected(self, tmp_path, capsys):
+        a = write_config(tmp_path, "a.json", dt=0.02, t_final=0.07)
+        b = write_config(tmp_path, "b.json", dt=0.02, t_final=0.07,
+                         scheme="exponential_em")
+        assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+        assert "config key 't_final'" in capsys.readouterr().err
+
     def test_incomparable_configs_rejected(self, tmp_path, capsys):
         a = write_config(tmp_path, "a.json", seed=1)
         b = write_config(tmp_path, "b.json", seed=2)
