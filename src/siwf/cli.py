@@ -37,6 +37,7 @@ from .recordio import (
 from .steppers import SCHEMES
 from .trajectories import (
     monte_carlo_mean,
+    off_grid,
     resolve_steps,
     run_belavkin_trajectory,
     run_gksl_trajectory,
@@ -44,7 +45,8 @@ from .trajectories import (
     run_nonlinear_trajectory,
     run_siwf_trajectory,
 )
-from .verify import SUITE_CHECKS, SUITE_DEFAULTS, default_suite, format_table
+from .verify import (SUITE_CHECKS, SUITE_DEFAULTS, SUITE_TIME_GRID,
+                     default_suite, format_table)
 
 
 def _threads() -> int:
@@ -81,17 +83,6 @@ def _write(path, text: str) -> None:
         raise SiwfError(f"cannot write '{path}': {exc}") from exc
 
 
-def _check_on_grid(t_final: float, dt: float) -> None:
-    """resolve_steps rounds t_final / dt, so an off-grid t_final would
-    silently run past or short of it: reject it instead."""
-    steps = t_final / dt
-    if abs(steps - round(steps)) > 1e-9 * steps:
-        raise ConfigError(
-            "t_final", f"must be a whole number of dt {dt} steps, got "
-            f"{t_final} ({steps:.6g} steps)"
-        )
-
-
 #: simulate flags that, when given, override the config key of their name
 _OVERRIDES = ("seed", "dt", "t_final", "n_trajectories", "equation", "scheme",
               "save_stride", "output_dir", "renormalize", "dump_densities")
@@ -103,7 +94,7 @@ def cmd_simulate(args) -> int:
         if getattr(args, key) is not None
     })
     threads = _threads()
-    _check_on_grid(cfg.t_final, cfg.dt)
+    n_steps = resolve_steps(cfg.dt, cfg.t_final)
     outdir = Path(cfg.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -118,8 +109,7 @@ def cmd_simulate(args) -> int:
     emit("manifest.json", manifest_json(cfg, __version__))
 
     if cfg.equation == "gksl" or cfg.n_trajectories == 1:
-        noise = generate_noise(cfg.seed, cfg.model.n_channels, cfg.dt,
-                               resolve_steps(cfg.dt, cfg.t_final))
+        noise = generate_noise(cfg.seed, cfg.model.n_channels, cfg.dt, n_steps)
         record, weights = _run_single_on_noise(cfg, noise)
         # the deterministic mean evolution is a mean, not a trajectory
         name = "mean.csv" if cfg.equation == "gksl" else "trajectory.csv"
@@ -163,6 +153,8 @@ def _load_suite(path: str) -> dict:
              and n_traj >= 100, "n_traj", "must be an integer >= 100")
     suite["dt"] = _number(suite, "dt", "dt")
     _require(suite["dt"] > 0, "dt", "must be positive")
+    _require(not off_grid(SUITE_TIME_GRID, suite["dt"]), "dt",
+             f"must divide {SUITE_TIME_GRID}, the grid of the suite's times")
     _require(isinstance(suite["include_negative_controls"], bool),
              "include_negative_controls", "must be a boolean")
     checks = suite["checks"]
@@ -221,9 +213,8 @@ def cmd_compare(args) -> int:
                 f"config {tag} dt {cfg.dt} is not an integer multiple of the "
                 f"finer dt {dt_fine}; paths cannot be shared"
             )
-    _check_on_grid(cfg_a.t_final, dt_fine)
     extra_refine = 2 if "dt" in differing else 1
-    n_base = resolve_steps(dt_fine / extra_refine, cfg_a.t_final)
+    n_base = extra_refine * resolve_steps(dt_fine, cfg_a.t_final)
     if n_base % (max(ratio_a, ratio_b) * extra_refine):
         raise SiwfError(
             f"t_final {cfg_a.t_final} is not a whole number of steps of both "

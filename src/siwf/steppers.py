@@ -7,10 +7,9 @@ by scaling-and-squaring) while keeping the nonlinear and noise terms
 explicit; for a closed system the exponential variant is exactly unitary.
 
 The batched kernels advance whole stacks of independent trajectories at
-once; the public single-trajectory operations wrap them, except the
-nonlinear pure-state step which is implemented directly from its own
-equation so the ensemble reduction (a one-component stack must reproduce
-it) remains a genuine cross-check.
+once; the public single-trajectory operations wrap them.  The nonlinear
+pure-state equation is the ensemble equation of a one-component stack, so
+its step wraps ``siwf_step_batch``.
 """
 
 from __future__ import annotations
@@ -203,35 +202,28 @@ def step_linear_sse(ctx: StepContext, phi, dw) -> np.ndarray:
     return linear_step_batch(ctx, v[None, None, :], dwv[None, :])[0, 0]
 
 
-def step_nonlinear_sse(ctx: StepContext, phi_hat, dw) -> np.ndarray:
-    """Advance one normalized pure state by the conditioned state equation.
-
-    With m_l = Re<phi, L_l phi>: drift G phi + sum_l (m_l L_l phi
-    - m_l^2/2 phi), diffusion sum_l (L_l phi - m_l phi) dW_l.  A unit state
-    is required only when renormalizing; otherwise the scheme's own norm
-    drift is carried forward, as in ``siwf_step_batch``.
-    """
+def _check_pure_state(ctx: StepContext, phi_hat) -> np.ndarray:
+    """``phi_hat`` as a state vector: nonzero, and unit when renormalizing."""
     v = as_state(phi_hat, ctx.model.dim)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise NormViolationError("nonlinear step requires a nonzero state", 1.0)
     if ctx.renormalize and abs(norm - 1.0) > 10 * NORM_TOL:
         raise NormViolationError("nonlinear step requires a unit state", abs(norm - 1.0))
+    return v
+
+
+def step_nonlinear_sse(ctx: StepContext, phi_hat, dw) -> np.ndarray:
+    """Advance one normalized pure state by the conditioned state equation.
+
+    With m_l = Re<phi, L_l phi>: drift G phi + sum_l (m_l L_l phi
+    - m_l^2/2 phi), diffusion sum_l (L_l phi - m_l phi) dW_l.  This is the
+    ensemble step of the one-component stack [phi], so without
+    renormalization the scheme's own norm drift is carried forward.
+    """
+    v = _check_pure_state(ctx, phi_hat)
     dwv = _check_dw(ctx, dw)
-    nl_drift = np.zeros_like(v)
-    diffusion = np.zeros_like(v)
-    for l, l_op in enumerate(ctx.model.lindblads):
-        lv = l_op @ v
-        m = float(np.real(np.vdot(v, lv)))
-        nl_drift += m * lv - 0.5 * m * m * v
-        diffusion += (lv - m * v) * dwv[l]
-    if ctx.scheme == "exponential_em":
-        new = ctx.propagator @ (v + nl_drift * ctx.dt + diffusion)
-    else:
-        new = v + (ctx.model.drift_generator @ v + nl_drift) * ctx.dt + diffusion
-    if ctx.renormalize:
-        new = new / np.linalg.norm(new)
-    return new
+    return siwf_step_batch(ctx, v[None, None, :], dwv[None, :])[0][0, 0]
 
 
 def step_siwf(ctx: StepContext, ensemble: WaveEnsemble, dw) -> WaveEnsemble:

@@ -3,7 +3,8 @@ deterministic-thread-count Monte Carlo averaging.
 
 The siwf, nonlinear and Belavkin single-path runners share one body,
 ``_run_stack``: each integrates a one-trajectory stack with the batched
-kernels.  Monte Carlo runs are vectorized over fixed-size blocks of
+kernels.  The nonlinear runner is the siwf runner on a one-component
+stack.  Monte Carlo runs are vectorized over fixed-size blocks of
 trajectories.  Each trajectory owns the noise substream (base_seed,
 trajectory_index).  A block returns plain data, (sums, samples, final
 weights): named per-saved-time sums, per-trajectory functional samples and
@@ -19,15 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, SiwfError, StepFailureError,
-                     TrajectoryExtinctError)
+from .errors import (ConfigError, DimensionMismatchError, SiwfError,
+                     StepFailureError, TrajectoryExtinctError)
 from .model import ModelSpec
 from .noise import NoisePath, generate_noise_block
 from .states import InitialDecomposition, TrajectoryRecord, init_ensemble
 # the kernels, StepContext and generate_noise_block are looked up in this
-# module's namespace at call time, so a tracer can wrap them here
-from .steppers import (StepContext, belavkin_step_batch, linear_step_batch,
-                       siwf_step_batch, step_gksl, step_nonlinear_sse)
+# module's namespace at call time, so a tracer can wrap them here;
+# step_nonlinear_sse stays importable from here though no runner calls it
+from .steppers import (StepContext, _check_pure_state, belavkin_step_batch,
+                       linear_step_batch, siwf_step_batch, step_gksl,
+                       step_nonlinear_sse)
 
 #: trajectories per vectorized block; fixed so that reductions do not depend
 #: on the worker-thread count
@@ -39,11 +42,21 @@ EXTINCTION_THRESHOLD = 1e-12
 MC_EQUATIONS = ("siwf", "nonlinear", "belavkin", "linear_weighted")
 
 
+def off_grid(t: float, dt: float) -> bool:
+    """Whether t is not a whole number of dt steps within a relative 1e-9;
+    rounding such a time to the step grid would run past or short of it."""
+    steps = t / dt
+    return abs(steps - round(steps)) > 1e-9 * abs(steps)
+
+
 def resolve_steps(dt: float, t_final: float) -> int:
-    """Number of steps covering [0, t_final]; dt >= t_final means one step."""
+    """Number of steps covering [0, t_final], which must be on the dt grid."""
     if dt <= 0 or t_final <= 0:
         raise ValueError("dt and t_final must be positive")
-    return max(1, round(t_final / dt))
+    if off_grid(t_final, dt):
+        raise ConfigError("t_final", f"must be a whole number of dt {dt} steps, "
+                          f"got {t_final} ({t_final / dt:.6g} steps)")
+    return round(t_final / dt)
 
 
 def save_indices(n_steps: int, save_stride: int) -> np.ndarray:
@@ -152,6 +165,20 @@ def _run_stack(model, noise, save_stride, stack, advance):
     return idx * noise.dt, out, w_out, b_out
 
 
+def _run_ensemble(ctx, noise, save_stride, observables, psi):
+    """``run_siwf_trajectory`` from the (1, N, d) stack ``psi``."""
+
+    def advance(psi, dw):
+        psi, p, _ = siwf_step_batch(ctx, psi, dw[None, :])
+        return psi, 2.0 * p[0]
+
+    times, ens, w_out, b_out = _run_stack(ctx.model, noise, save_stride, psi,
+                                          advance)
+    densities = np.einsum("kni,knj->kij", ens, ens.conj())
+    return _record(times, densities, observables,
+                   ensembles=ens, innovations=w_out, records=b_out)
+
+
 def run_siwf_trajectory(
     model: ModelSpec,
     dec: InitialDecomposition,
@@ -167,17 +194,8 @@ def run_siwf_trajectory(
     W_l and the measurement record B_l every ``save_stride`` steps.
     """
     ctx = StepContext(model, scheme, noise.dt, renormalize)
-
-    def advance(psi, dw):
-        psi, p, _ = siwf_step_batch(ctx, psi, dw[None, :])
-        return psi, 2.0 * p[0]
-
-    times, ens, w_out, b_out = _run_stack(
-        model, noise, save_stride, init_ensemble(dec).components[None], advance
-    )
-    densities = np.einsum("kni,knj->kij", ens, ens.conj())
-    return _record(times, densities, observables,
-                   ensembles=ens, innovations=w_out, records=b_out)
+    return _run_ensemble(ctx, noise, save_stride, observables,
+                         init_ensemble(dec).components[None])
 
 
 def run_nonlinear_trajectory(
@@ -189,21 +207,11 @@ def run_nonlinear_trajectory(
     renormalize: bool = True,
     observables: dict | None = None,
 ) -> TrajectoryRecord:
-    """Integrate the pure-state conditioned equation along one noise path."""
+    """Integrate the pure-state conditioned equation along one noise path:
+    the ensemble equations of the one-component stack [psi0]."""
     ctx = StepContext(model, scheme, noise.dt, renormalize)
-
-    def advance(psi, dw):
-        v = psi[0, 0]
-        m = np.array([np.real(np.vdot(v, l_op @ v)) for l_op in model.lindblads])
-        return step_nonlinear_sse(ctx, v, dw)[None, None], 2.0 * m
-
-    times, ens, w_out, b_out = _run_stack(
-        model, noise, save_stride,
-        np.asarray(psi0, dtype=np.complex128)[None, None], advance,
-    )
-    densities = np.einsum("kni,knj->kij", ens, ens.conj())
-    return _record(times, densities, observables,
-                   ensembles=ens, innovations=w_out, records=b_out)
+    psi = _check_pure_state(ctx, psi0)
+    return _run_ensemble(ctx, noise, save_stride, observables, psi[None, None])
 
 
 def run_linear_route(
@@ -531,9 +539,13 @@ def _map_blocks(n_traj, threads, work):
 
 
 def _sample_schedule(sample_times, dt, n_steps):
-    """Snap sample times to the step grid: (requested steps, save schedule
+    """Sample times as steps of the grid: (requested steps, save schedule
     including the last step, position of each request in the schedule)."""
-    req = [round(float(t) / dt) for t in np.atleast_1d(sample_times)]
+    times = [float(t) for t in np.atleast_1d(sample_times)]
+    bad = [t for t in times if off_grid(t, dt)]
+    if bad:
+        raise ConfigError("sample_times", f"{bad} not on the dt {dt} grid")
+    req = [round(t / dt) for t in times]
     if any(k < 0 or k > n_steps for k in req):
         raise ValueError("sample time outside [0, t_final]")
     idx = np.unique(np.asarray(req + [n_steps], dtype=int))
@@ -626,7 +638,7 @@ def sample_functionals(
 
     ``functionals`` maps names to matrices A, or to callables on a
     (B, d, d) stack of densities (for nonlinear readouts such as purity).
-    Sample times are snapped to the step grid.
+    Sample times must be on the step grid.
     """
     n_steps = resolve_steps(dt, t_final)
     req, idx, func_positions = _sample_schedule(sample_times, dt, n_steps)

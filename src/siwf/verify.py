@@ -76,6 +76,9 @@ SUITE_DEFAULTS = {
     "checks": None,
 }
 
+#: ``default_suite``'s fixed times are multiples of this; its dt must divide it
+SUITE_TIME_GRID = 0.25
+
 
 @dataclass
 class CheckReport:

@@ -283,13 +283,15 @@ class TestSimulateCli:
         ("simulate", {"dt": 0.02, "t_final": 0.05}, "t_final"),
         ("verify", {"dt": float("inf"), "checks": ["norm_conservation"]},
          "dt"),
+        ("verify", {"dt": 0.003, "checks": ["norm_conservation"]}, "dt"),
     ], ids=["weights-string", "vectors-number", "vectors-empty",
             "potential-strings", "lindblads-number", "non-hermitian",
             "observable-name-list", "observable-non-hermitian",
             "observable-duplicate", "observable-named-time",
             "observable-named-record", "observable-named-weight",
             "observable-named-se-column", "t_final-inf", "steps-overflow",
-            "t_final-off-grid-up", "t_final-off-grid-down", "suite-dt-inf"])
+            "t_final-off-grid-up", "t_final-off-grid-down", "suite-dt-inf",
+            "suite-dt-off-grid"])
     def test_malformed_config_names_key(self, tmp_path, capsys, command, doc,
                                         key):
         if command == "simulate":

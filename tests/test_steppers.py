@@ -108,7 +108,7 @@ class TestSiwfStep:
         for _ in range(50):
             dw = rng.normal(scale=np.sqrt(1e-3), size=1)
             ens = step_siwf(ctx, WaveEnsemble.from_vectors(phi[None]), dw)
-            single = step_nonlinear_sse(ctx, phi, dw)
+            single = nonlinear_loop_reference(ctx, phi, dw)
             assert np.max(np.abs(ens.components[0] - single)) <= 1e-8
             phi = single
 
@@ -240,6 +240,47 @@ def siwf_einsum_reference(ctx, psi, dw):
     if ctx.renormalize:
         new = new / np.sqrt(norm_sq)[:, None, None]
     return new, p, norm_sq
+
+
+def nonlinear_loop_reference(ctx, v, dwv):
+    """The per-channel loop form of the nonlinear step, kept as a reference."""
+    nl_drift = np.zeros_like(v)
+    diffusion = np.zeros_like(v)
+    for l, l_op in enumerate(ctx.model.lindblads):
+        lv = l_op @ v
+        m = float(np.real(np.vdot(v, lv)))
+        nl_drift += m * lv - 0.5 * m * m * v
+        diffusion += (lv - m * v) * dwv[l]
+    if ctx.scheme == "exponential_em":
+        new = ctx.propagator @ (v + nl_drift * ctx.dt + diffusion)
+    else:
+        new = v + (ctx.model.drift_generator @ v + nl_drift) * ctx.dt + diffusion
+    if ctx.renormalize:
+        new = new / np.linalg.norm(new)
+    return new
+
+
+class TestNonlinearKernel:
+    @pytest.mark.parametrize("scheme", ["euler_maruyama", "exponential_em"])
+    @pytest.mark.parametrize("n_ch", [0, 1, 2])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_matches_loop_reference(self, scheme, n_ch, renormalize):
+        rng = np.random.default_rng(13)
+        cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for d in (2, 6, 16):
+            h = cplx(d, d)
+            model = make_model(h + h.conj().T, [cplx(d, d) / d for _ in range(n_ch)])
+            ctx = StepContext(model, scheme, 1e-3, renormalize)
+            phi = cplx(d)
+            # without renormalization a non-unit state is carried as it is
+            phi *= (1.0 if renormalize else 1.3) / np.linalg.norm(phi)
+            for _ in range(5):
+                dw = rng.normal(scale=0.03, size=n_ch)
+                got = step_nonlinear_sse(ctx, phi, dw)
+                ref = nonlinear_loop_reference(ctx, phi, dw)
+                assert got.shape == ref.shape == (d,)
+                assert np.max(np.abs(got - ref)) <= 1e-13, d
+                phi = ref
 
 
 class TestSiwfLinearKernels:

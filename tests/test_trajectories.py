@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siwf.errors import TrajectoryExtinctError
+from siwf.errors import ConfigError, SiwfError, TrajectoryExtinctError
 from siwf.model import (
+    BoxParams,
     RabiParams,
     SIGMA_MINUS,
     SIGMA_Z,
+    box_model,
     make_model,
     qubit_model,
     rabi_model,
@@ -25,6 +27,7 @@ from siwf.trajectories import (
     run_belavkin_trajectory,
     run_linear_route,
     run_nonlinear_trajectory,
+    resolve_steps,
     run_siwf_trajectory,
     sample_functionals,
     weight_paths,
@@ -71,6 +74,46 @@ class TestSiwfTrajectory:
         rec_n = run_nonlinear_trajectory(model, psi0, noise, renormalize=False)
         assert np.max(np.abs(rec_e.ensembles[:, 0] - rec_n.ensembles[:, 0])) <= 1e-12
         assert np.max(np.abs(rec_e.records - rec_n.records)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["rabi", "box"])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_pure_state_matches_nonlinear_run_exactly(self, case, renormalize):
+        # the nonlinear equation is the ensemble equation of one component,
+        # so both runners make the same floating-point operations
+        if case == "rabi":
+            model = rabi_model(RabiParams(omega1=1.0, omega2=1.2, g=0.1,
+                                          alpha=0.5, n_fock=3))
+            psi0 = np.zeros(model.dim, dtype=complex)
+            psi0[[0, 3]] = 1 / np.sqrt(2)
+            scheme = "euler_maruyama"
+        else:
+            model = box_model(BoxParams(alpha_kin=0.5, gamma=0.5, x_min=-4.0,
+                                        x_max=4.0, n_grid=16))
+            psi0 = np.exp(-0.5 * np.asarray(model.meta["grid"]) ** 2)
+            psi0 = (psi0 / np.linalg.norm(psi0)).astype(complex)
+            scheme = "exponential_em"
+        noise = generate_noise(9, model.n_channels, 1e-3, 300)
+        kwargs = dict(scheme=scheme, renormalize=renormalize)
+        rec_e = run_siwf_trajectory(model, mixture([1.0], [psi0]), noise,
+                                    **kwargs)
+        rec_n = run_nonlinear_trajectory(model, psi0, noise, **kwargs)
+        assert np.array_equal(rec_e.densities, rec_n.densities)
+        assert np.array_equal(rec_e.records, rec_n.records)
+        assert np.array_equal(rec_e.innovations, rec_n.innovations)
+
+    @pytest.mark.parametrize("scale, renormalize, violation", [
+        (0.0, True, "nonzero state"),
+        (0.0, False, "nonzero state"),
+        (1.5, True, "unit state"),
+    ])
+    def test_nonlinear_run_rejects_bad_initial_state(self, scale, renormalize,
+                                                     violation):
+        model = qubit_model(1.0, 1.0, "z")
+        psi0 = scale * (E1 + E2) / np.sqrt(2)
+        noise = generate_noise(5, 1, 1e-3, 10)
+        with pytest.raises(SiwfError, match=violation):
+            run_nonlinear_trajectory(model, psi0, noise,
+                                     renormalize=renormalize)
 
     def test_zero_components_stay_zero(self):
         model = qubit_model(1.0, 1.0, "z")
@@ -337,6 +380,31 @@ class TestMonteCarlo:
 
 
 GOLDEN_HASH_FILE = Path(__file__).parent / "data" / "golden_rabi_record.sha256"
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("dt, t_final", [(0.02, 0.07), (0.02, 0.05),
+                                             (0.02, 0.01)])
+    def test_off_grid_t_final_rejected(self, dt, t_final):
+        with pytest.raises(ConfigError) as err:
+            monte_carlo_mean(qubit_model(1.0, 1.0, "z"), mixture([1.0], [E1]),
+                             4, 1, dt=dt, t_final=t_final)
+        assert err.value.key == "t_final"
+
+    def test_on_grid_t_final_accepted(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        assert resolve_steps(0.1, 0.3) == 3
+        assert resolve_steps(1e-3, 0.03) == 30
+        s = monte_carlo_mean(qubit_model(1.0, 1.0, "z"), mixture([1.0], [E1]),
+                             4, 1, dt=0.1, t_final=0.3)
+        assert s.times[-1] == pytest.approx(0.3)
+
+    def test_off_grid_sample_time_rejected(self):
+        with pytest.raises(ConfigError, match="0.03") as err:
+            sample_functionals(qubit_model(1.0, 1.0, "z"), mixture([1.0], [E1]),
+                               4, 1, "siwf", {"sz": SZ}, [0.0, 0.03],
+                               dt=0.02, t_final=0.04)
+        assert err.value.key == "sample_times"
 
 
 class TestGoldenRecord:
