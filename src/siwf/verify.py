@@ -27,6 +27,7 @@ from .model import (
 from .noise import coarsen, generate_noise
 from .states import InitialDecomposition, TrajectoryRecord, decompose_density
 from .trajectories import (
+    _sample_schedule,
     gksl_solve,
     monte_carlo_mean,
     resolve_steps,
@@ -229,7 +230,7 @@ def check_gksl_mean(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     t_final = float(np.max(t_grid))
     n_steps = resolve_steps(dt, t_final)
-    steps = [round(t / dt) for t in t_grid]
+    steps = _sample_schedule(t_grid, dt, n_steps)[0]
     stride = math.gcd(*steps) if steps else 1
     stride = max(1, stride)
     mean = monte_carlo_mean(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from siwf.errors import ReconstructionError, SiwfError
+from siwf.errors import ConfigError, ReconstructionError, SiwfError
 from siwf.model import (
     BoxParams,
     ModelSpec,
@@ -148,6 +148,12 @@ class TestGkslMean:
         dec = decompose_density(np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(ValueError):
             check_gksl_mean(model, dec, 10, [1.0])
+
+    def test_rejects_off_grid_time(self):
+        model = qubit_model(0.0, 1.0, "minus")
+        dec = decompose_density(np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(ConfigError, match="0.03"):
+            check_gksl_mean(model, dec, 100, [0.03, 0.04], dt=0.02)
 
 
 class TestSiwfVsBelavkin:
