@@ -1,14 +1,13 @@
 """Command-line surface: simulate, verify, compare.
 
-Worker-thread count is taken from the SIWF_THREADS environment variable
-(default 1); results are bit-identical for any value.
+Monte Carlo blocks run one after another in one process; outputs are a pure
+function of the config (or suite) and its seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -49,17 +48,6 @@ from .verify import (SUITE_CHECKS, SUITE_DEFAULTS, SUITE_TIME_GRID,
                      default_suite, format_table)
 
 
-def _threads() -> int:
-    raw = os.environ.get("SIWF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise SiwfError(f"SIWF_THREADS must be an integer >= 1, got '{raw}'")
-    return n
-
-
 def _load_config(path: str, overrides: dict) -> SimConfig:
     try:
         doc = json.loads(Path(path).read_text())
@@ -93,7 +81,6 @@ def cmd_simulate(args) -> int:
         key: getattr(args, key) for key in _OVERRIDES
         if getattr(args, key) is not None
     })
-    threads = _threads()
     n_steps = resolve_steps(cfg.dt, cfg.t_final)
     outdir = Path(cfg.output_dir)
     try:
@@ -124,7 +111,6 @@ def cmd_simulate(args) -> int:
             mc_equation, dt=cfg.dt, t_final=cfg.t_final,
             save_stride=cfg.save_stride, scheme=cfg.scheme,
             renormalize=cfg.renormalize, observables=cfg.observables(),
-            threads=threads,
         )
         emit("mean.csv", mean_to_csv(series))
         if cfg.dump_densities:
@@ -168,7 +154,6 @@ def _load_suite(path: str) -> dict:
 
 
 def cmd_verify(args) -> int:
-    threads = _threads()
     suite = _load_suite(args.suite) if args.suite else dict(SUITE_DEFAULTS)
     if args.output and not Path(args.output).parent.is_dir():
         raise SiwfError(
@@ -179,9 +164,7 @@ def cmd_verify(args) -> int:
         if args.output:
             _write(args.output, reports_to_json([]))
         return 0
-    reports = default_suite(
-        base_seed=suite.pop("seed"), threads=threads, **suite
-    )
+    reports = default_suite(base_seed=suite.pop("seed"), **suite)
     print(format_table(reports))
     if args.output:
         _write(args.output, reports_to_json(reports))

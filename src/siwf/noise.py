@@ -2,7 +2,7 @@
 
 Streams are keyed by (seed, stream index) through a counter-based Philox
 generator, so per-trajectory substreams are collision-free and bit-stable
-regardless of how many worker threads consume them.  Gaussian variates come
+whichever block of trajectories draws them.  Gaussian variates come
 from the inverse normal CDF applied to Philox uniforms: one uniform per
 increment, no rejection sampling, so the draw count per step is fixed.
 """

@@ -1,5 +1,5 @@
 """Trajectory drivers: single-path runs, the reweighted linear route, and
-deterministic-thread-count Monte Carlo averaging.
+blocked Monte Carlo averaging.
 
 The siwf, nonlinear and Belavkin single-path runners share one body,
 ``_run_stack``: each integrates a one-trajectory stack with the batched
@@ -8,14 +8,14 @@ stack.  Monte Carlo runs are vectorized over fixed-size blocks of
 trajectories.  Each trajectory owns the noise substream (base_seed,
 trajectory_index).  A block returns plain data, (sums, samples, final
 weights): named per-saved-time sums, per-trajectory functional samples and
-the reweighted route's importance weights.  The blocks' sums are added with
-a plain left-to-right ``sum`` in block order, so results are bit-identical
-for any worker-thread count.
+the reweighted route's importance weights.  Blocks run one after another
+in block order, and their sums are added with a plain left-to-right
+``sum``; the fixed partition and the fixed addition order make every
+result reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +32,8 @@ from .steppers import (StepContext, _check_pure_state, belavkin_step_batch,
                        linear_step_batch, siwf_step_batch, step_gksl,
                        step_nonlinear_sse)
 
-#: trajectories per vectorized block; fixed so that reductions do not depend
-#: on the worker-thread count
+#: trajectories per vectorized block; fixed because the block results and
+#: their order-fixed sums are what makes a Monte Carlo result reproducible
 BLOCK_SIZE = 256
 
 #: reweighted trajectories whose total weight falls below this are aborted
@@ -525,17 +525,13 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
     return sums, samples, w_final
 
 
-def _map_blocks(n_traj, threads, work):
-    """``work(streams)`` on each BLOCK_SIZE block of trajectory indices;
-    the results come back in block order whatever the thread count."""
-    blocks = [
-        list(range(start, min(start + BLOCK_SIZE, n_traj)))
+def _map_blocks(n_traj, work):
+    """``work(streams)`` on each BLOCK_SIZE block of trajectory indices, one
+    after another; the results in block order."""
+    return [
+        work(list(range(start, min(start + BLOCK_SIZE, n_traj))))
         for start in range(0, n_traj, BLOCK_SIZE)
     ]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, blocks))
-    return [work(b) for b in blocks]
 
 
 def _sample_schedule(sample_times, dt, n_steps):
@@ -554,7 +550,7 @@ def _sample_schedule(sample_times, dt, n_steps):
 
 def _run_blocks(
     model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
-    scheme, renormalize, threads, functionals, func_positions,
+    scheme, renormalize, functionals, func_positions,
 ):
     if equation not in MC_EQUATIONS:
         raise SiwfError(
@@ -569,9 +565,9 @@ def _run_blocks(
             n_steps, idx, functionals, func_positions,
         )
 
-    # block results come back in block order, so the plain left-to-right
-    # sums below round the same way for any thread count
-    sums, samples, weights = zip(*_map_blocks(n_traj, threads, work))
+    # the plain left-to-right sums over the block-ordered results round the
+    # same way on every run
+    sums, samples, weights = zip(*_map_blocks(n_traj, work))
     return (
         {key: sum(s[key] for s in sums) for key in sums[0]},
         {name: np.concatenate([s[name] for s in samples]) for name in samples[0]},
@@ -591,7 +587,6 @@ def monte_carlo_mean(
     scheme: str = "euler_maruyama",
     renormalize: bool = True,
     observables: dict | None = None,
-    threads: int = 1,
 ) -> MeanSeries:
     """Average the conditioned state over independent trajectories.
 
@@ -607,7 +602,7 @@ def monte_carlo_mean(
     functionals = dict(observables or {})
     sums, _, _ = _run_blocks(
         model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
-        scheme, renormalize, threads, functionals, [],
+        scheme, renormalize, functionals, [],
     )
     mean, se = _density_stats(sums, n_traj)
     return MeanSeries(
@@ -632,7 +627,6 @@ def sample_functionals(
     t_final: float = 1.0,
     scheme: str = "euler_maruyama",
     renormalize: bool = True,
-    threads: int = 1,
 ) -> FunctionalSamples:
     """Collect per-trajectory values of Re tr(rho_t A) at selected times.
 
@@ -644,7 +638,7 @@ def sample_functionals(
     req, idx, func_positions = _sample_schedule(sample_times, dt, n_steps)
     _, samples, weights = _run_blocks(
         model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
-        scheme, renormalize, threads, dict(functionals), func_positions,
+        scheme, renormalize, dict(functionals), func_positions,
     )
     return FunctionalSamples(
         times=np.asarray(req, dtype=float) * dt,
@@ -663,7 +657,6 @@ def weight_paths(
     dt: float = 1e-3,
     t_final: float = 1.0,
     scheme: str = "euler_maruyama",
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trajectory linear-route importance weights w_t at selected times.
 
@@ -688,5 +681,5 @@ def weight_paths(
         )
         return out
 
-    all_w = np.concatenate(_map_blocks(n_traj, threads, work), axis=1)
+    all_w = np.concatenate(_map_blocks(n_traj, work), axis=1)
     return np.asarray(req, dtype=float) * dt, all_w[pos].T

@@ -216,7 +216,6 @@ def check_gksl_mean(
     base_seed: int = 0,
     dt: float = 1e-3,
     scheme: str = "euler_maruyama",
-    threads: int = 1,
     name: str = "gksl-mean",
 ) -> CheckReport:
     """Trajectory average must reproduce the deterministic mean evolution.
@@ -236,7 +235,6 @@ def check_gksl_mean(
     mean = monte_carlo_mean(
         model, dec, n_traj, base_seed, "siwf",
         dt=dt, t_final=t_final, save_stride=stride, scheme=scheme,
-        threads=threads,
     )
     rho0 = dec.density()
     _, oracle = gksl_solve(model, rho0, dt, n_steps, stride)
@@ -308,7 +306,6 @@ def check_martingale(
     base_seed: int = 0,
     dt: float = 1e-3,
     scheme: str = "euler_maruyama",
-    threads: int = 1,
     name: str = "martingale",
 ) -> CheckReport:
     """The linear-route weight must average to 1 at every time.
@@ -318,7 +315,7 @@ def check_martingale(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     _, w = weight_paths(
         model, dec, n_traj, base_seed, t_grid,
-        dt=dt, t_final=float(np.max(t_grid)), scheme=scheme, threads=threads,
+        dt=dt, t_final=float(np.max(t_grid)), scheme=scheme,
     )
     mean = w.mean(axis=0)
     se = (
@@ -344,7 +341,6 @@ def check_decomposition_invariance(
     base_seed: int = 0,
     dt: float = 1e-3,
     scheme: str = "euler_maruyama",
-    threads: int = 1,
     name: str = "decomposition-invariance",
 ) -> CheckReport:
     """Two decompositions of the same initial state must give statistically
@@ -366,7 +362,7 @@ def check_decomposition_invariance(
         got = sample_functionals(
             model, dec, n_traj, base_seed + offset * 900_000_001, "siwf",
             {"f": observable}, [t_check],
-            dt=dt, t_final=t_check, scheme=scheme, threads=threads,
+            dt=dt, t_final=t_check, scheme=scheme,
         )
         samples.append(got.samples["f"][:, 0])
     stat = ks_two_sample(samples[0], samples[1])
@@ -389,7 +385,6 @@ def check_linear_route_equivalence(
     base_seed: int = 0,
     dt: float = 1e-3,
     scheme: str = "euler_maruyama",
-    threads: int = 1,
     name: str = "linear-route-equivalence",
 ) -> CheckReport:
     """Reweighted linear-route estimates must match direct ensemble ones.
@@ -403,12 +398,12 @@ def check_linear_route_equivalence(
     t_final = float(np.max(t_grid))
     direct = sample_functionals(
         model, dec, n_traj, base_seed, "siwf", functionals, t_grid,
-        dt=dt, t_final=t_final, scheme=scheme, threads=threads,
+        dt=dt, t_final=t_final, scheme=scheme,
     )
     weighted = sample_functionals(
         model, dec, n_traj, base_seed + 1_700_000_003, "linear_weighted",
         functionals, t_grid,
-        dt=dt, t_final=t_final, scheme=scheme, threads=threads,
+        dt=dt, t_final=t_final, scheme=scheme,
     )
     w = weighted.weights
     stat = 0.0
@@ -481,7 +476,6 @@ def default_suite(
     base_seed: int = SUITE_DEFAULTS["seed"],
     n_traj: int = SUITE_DEFAULTS["n_traj"],
     dt: float = SUITE_DEFAULTS["dt"],
-    threads: int = 1,
     include_negative_controls: bool = (
         SUITE_DEFAULTS["include_negative_controls"]),
     checks: list | None = SUITE_DEFAULTS["checks"],
@@ -550,14 +544,14 @@ def default_suite(
         reports.append(
             check_gksl_mean(
                 damping, pure_e, n_traj, [1.0],
-                base_seed=base_seed + 37, dt=dt, threads=threads,
+                base_seed=base_seed + 37, dt=dt,
                 name="gksl-mean[amplitude-damping qubit]",
             )
         )
         reports.append(
             check_gksl_mean(
                 rabi, rdec, n_traj, [0.5, 1.0],
-                base_seed=base_seed + 41, dt=dt, threads=threads,
+                base_seed=base_seed + 41, dt=dt,
                 name="gksl-mean[rabi]",
             )
         )
@@ -583,14 +577,14 @@ def default_suite(
         reports.append(
             check_martingale(
                 qubit, qdec, n_traj, [0.25, 0.5, 1.0],
-                base_seed=base_seed + 61, dt=dt, threads=threads,
+                base_seed=base_seed + 61, dt=dt,
                 name="martingale[qubit]",
             )
         )
         reports.append(
             check_martingale(
                 rabi, rdec, n_traj, [0.25, 0.5, 1.0],
-                base_seed=base_seed + 67, dt=dt, threads=threads,
+                base_seed=base_seed + 67, dt=dt,
                 name="martingale[rabi]",
             )
         )
@@ -599,7 +593,7 @@ def default_suite(
         reports.append(
             check_linear_route_equivalence(
                 qubit, qdec, n_traj, {"tr_rho_sz": sz},
-                base_seed=base_seed + 71, dt=dt, threads=threads,
+                base_seed=base_seed + 71, dt=dt,
                 name="linear-route-equivalence[qubit]",
             )
         )
@@ -616,7 +610,7 @@ def default_suite(
         reports.append(
             check_decomposition_invariance(
                 qubit, half, dec_eigen, dec_rot, n_traj, sz,
-                t_check=0.5, base_seed=base_seed + 73, dt=dt, threads=threads,
+                t_check=0.5, base_seed=base_seed + 73, dt=dt,
                 name="decomposition-invariance[qubit, half-identity]",
             )
         )
@@ -625,11 +619,11 @@ def default_suite(
             dec_biased = decompose_density(biased)
             got = sample_functionals(
                 qubit, dec_biased, n_traj, base_seed + 79, "siwf",
-                {"f": sz}, [0.5], dt=dt, t_final=0.5, threads=threads,
+                {"f": sz}, [0.5], dt=dt, t_final=0.5,
             ).samples["f"][:, 0]
             ref = sample_functionals(
                 qubit, dec_eigen, n_traj, base_seed + 83, "siwf",
-                {"f": sz}, [0.5], dt=dt, t_final=0.5, threads=threads,
+                {"f": sz}, [0.5], dt=dt, t_final=0.5,
             ).samples["f"][:, 0]
             mismatch = _report(
                 "decomposition-invariance[mismatched rho0]",

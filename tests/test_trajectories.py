@@ -330,18 +330,6 @@ class TestMonteCarlo:
         se = max(series.se[-1][0, 0], 1e-4)
         assert abs(ree - np.exp(-1.0)) <= 4 * se
 
-    def test_thread_count_invariance(self):
-        model = qubit_model(1.0, 1.0, "z")
-        dec = decompose_density(np.diag([0.6, 0.4]).astype(complex))
-        kwargs = dict(dt=1e-3, t_final=0.2, save_stride=100,
-                      observables={"sz": SZ})
-        a = monte_carlo_mean(model, dec, 600, 5, "siwf", threads=1, **kwargs)
-        b = monte_carlo_mean(model, dec, 600, 5, "siwf", threads=4, **kwargs)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.se, b.se)
-        assert np.array_equal(a.observable_stats["sz"][0],
-                              b.observable_stats["sz"][0])
-
     def test_belavkin_equation_mean(self):
         model = qubit_model(0.0, 1.0, "minus")
         dec = decompose_density(np.diag([1.0, 0.0]).astype(complex))
@@ -462,29 +450,26 @@ def mc_golden_digests() -> dict:
     out = {}
     for equation in MC_EQUATIONS:
         dec = pure if equation == "nonlinear" else mixed
-        for threads in (1, 2):
-            s = monte_carlo_mean(model, dec, 600, 31, equation,
-                                 threads=threads, **kwargs)
-            m, se = s.observable_stats["x01"]
-            out[f"mean-{equation}-t{threads}"] = _digest(s.times, s.mean,
-                                                        s.se, m, se)
+        s = monte_carlo_mean(model, dec, 600, 31, equation, **kwargs)
+        m, se = s.observable_stats["x01"]
+        out[f"mean-{equation}-t1"] = _digest(s.times, s.mean, s.se, m, se)
     purity = lambda rho: np.einsum("bij,bji->b", rho, rho).real
     got = sample_functionals(
         model, mixed, 600, 32, "linear_weighted",
         {"x01": obs["x01"], "purity": purity}, [0.01, 0.025, 0.04],
-        dt=1e-3, t_final=0.04, threads=2,
+        dt=1e-3, t_final=0.04,
     )
     out["sample-functionals"] = _digest(
         got.times, got.samples["x01"], got.samples["purity"], got.weights
     )
     times, w = weight_paths(model, mixed, 600, 33, [0.0, 0.02, 0.04],
-                            dt=1e-3, t_final=0.04, threads=2)
+                            dt=1e-3, t_final=0.04)
     out["weight-paths"] = _digest(times, w)
     # a repeated sample time: two sample slots read one saved state
     got = sample_functionals(
         model, mixed, 600, 37, "siwf",
         {"x01": obs["x01"], "purity": purity}, [0.025, 0.01, 0.025, 0.04],
-        dt=1e-3, t_final=0.04, threads=2,
+        dt=1e-3, t_final=0.04,
     )
     out["sample-functionals-siwf"] = _digest(
         got.times, got.samples["x01"], got.samples["purity"]
