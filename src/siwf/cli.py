@@ -36,7 +36,6 @@ from .recordio import (
 from .steppers import SCHEMES
 from .trajectories import (
     monte_carlo_mean,
-    off_grid,
     resolve_steps,
     run_belavkin_trajectory,
     run_gksl_trajectory,
@@ -44,8 +43,8 @@ from .trajectories import (
     run_nonlinear_trajectory,
     run_siwf_trajectory,
 )
-from .verify import (SUITE_CHECKS, SUITE_DEFAULTS, SUITE_TIME_GRID,
-                     default_suite, format_table)
+from .verify import (SUITE_DEFAULTS, default_suite, format_table,
+                     validate_suite_args)
 
 
 def _load_config(path: str, overrides: dict) -> SimConfig:
@@ -138,18 +137,11 @@ def _load_suite(path: str) -> dict:
     _require(isinstance(n_traj, int) and not isinstance(n_traj, bool)
              and n_traj >= 100, "n_traj", "must be an integer >= 100")
     suite["dt"] = _number(suite, "dt", "dt")
-    _require(suite["dt"] > 0, "dt", "must be positive")
-    _require(not off_grid(SUITE_TIME_GRID, suite["dt"]), "dt",
-             f"must divide {SUITE_TIME_GRID}, the grid of the suite's times")
     _require(isinstance(suite["include_negative_controls"], bool),
              "include_negative_controls", "must be a boolean")
-    checks = suite["checks"]
-    if checks is not None:
-        _require(isinstance(checks, list), "checks",
-                 "must be a list of check names")
-        for name in checks:
-            _require(name in SUITE_CHECKS, "checks",
-                     f"unknown check '{name}' (known: {list(SUITE_CHECKS)})")
+    _require(suite["checks"] is None or isinstance(suite["checks"], list),
+             "checks", "must be a list of check names")
+    validate_suite_args(suite["dt"], suite["checks"])
     return suite
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ReconstructionError, SiwfError
+from .errors import ConfigError, ReconstructionError, SiwfError
 from .model import (
     ModelSpec,
     RabiParams,
@@ -30,6 +30,7 @@ from .trajectories import (
     _sample_schedule,
     gksl_solve,
     monte_carlo_mean,
+    off_grid,
     resolve_steps,
     run_belavkin_trajectory,
     run_siwf_trajectory,
@@ -79,6 +80,23 @@ SUITE_DEFAULTS = {
 
 #: ``default_suite``'s fixed times are multiples of this; its dt must divide it
 SUITE_TIME_GRID = 0.25
+
+
+def validate_suite_args(dt: float, checks) -> None:
+    """Reject a suite ``dt`` that is not positive or does not divide
+    SUITE_TIME_GRID, and a ``checks`` entry not in SUITE_CHECKS, with a
+    ConfigError naming the suite key."""
+    if not dt > 0:
+        raise ConfigError("dt", "must be positive")
+    if off_grid(SUITE_TIME_GRID, dt):
+        raise ConfigError(
+            "dt", f"must divide {SUITE_TIME_GRID}, the grid of the suite's times"
+        )
+    for name in checks or ():
+        if name not in SUITE_CHECKS:
+            raise ConfigError(
+                "checks", f"unknown check '{name}' (known: {list(SUITE_CHECKS)})"
+            )
 
 
 @dataclass
@@ -483,7 +501,9 @@ def default_suite(
     """Run the standard battery on the qubit, Rabi and box test models.
 
     ``checks`` restricts to a subset of SUITE_CHECKS; None means all.
+    Arguments that ``validate_suite_args`` rejects raise before any check runs.
     """
+    validate_suite_args(dt, checks)
     qubit, damping, rabi, box = _suite_models()
     sz = np.array([[1.0, 0], [0, -1.0]], dtype=np.complex128)
     qdec, qrho0 = _mixed_qubit_dec()

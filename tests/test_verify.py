@@ -345,3 +345,16 @@ class TestSuite:
         a = [r.to_dict() for r in default_suite(**kwargs)]
         b = [r.to_dict() for r in default_suite(**kwargs)]
         assert a == b
+
+    def test_off_grid_dt_names_dt(self):
+        # 0.003 does not divide the suite's 0.25 time grid
+        with pytest.raises(ConfigError) as exc:
+            default_suite(dt=0.003, n_traj=100, checks=["norm_conservation"])
+        assert exc.value.key == "dt"
+
+    def test_unknown_check_rejected(self):
+        # a misspelt name must not leave an empty battery that passes
+        with pytest.raises(ConfigError) as exc:
+            default_suite(n_traj=100, checks=["martingal"])
+        assert exc.value.key == "checks"
+        assert "unknown check 'martingal'" in str(exc.value)
