@@ -528,6 +528,8 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
 def _map_blocks(n_traj, work):
     """``work(streams)`` on each BLOCK_SIZE block of trajectory indices, one
     after another; the results in block order."""
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
     return [
         work(list(range(start, min(start + BLOCK_SIZE, n_traj))))
         for start in range(0, n_traj, BLOCK_SIZE)
@@ -595,8 +597,6 @@ def monte_carlo_mean(
     weighted by the final-time importance weight.  Per-entry standard
     errors accompany the mean; named observables get (mean, se) series too.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
     n_steps = resolve_steps(dt, t_final)
     idx = save_indices(n_steps, save_stride)
     functionals = dict(observables or {})

@@ -113,13 +113,6 @@ class CheckReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return (
-            f"[{mark}] {self.name}: statistic {self.statistic:.4e} "
-            f"vs threshold {self.threshold:.4e} ({self.kind}) {self.details}"
-        )
-
 
 def _report(name, kind, statistic, threshold, details="") -> CheckReport:
     statistic = float(statistic)
@@ -163,6 +156,41 @@ def ks_critical_value(n: int, m: int) -> float:
     """Asymptotic two-sample KS critical value at level KS_ALPHA."""
     c = math.sqrt(-0.5 * math.log(KS_ALPHA / 2.0))
     return c * math.sqrt((n + m) / (n * m))
+
+
+def _grid_mean(model, dec, n_traj, base_seed, equation, t_grid, dt, scheme,
+               observables=None):
+    """``monte_carlo_mean`` saved at the coarsest stride that holds every
+    ``t_grid`` time: (series, stride, the series row of each time)."""
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    t_final = float(np.max(t_grid))
+    steps = _sample_schedule(t_grid, dt, resolve_steps(dt, t_final))[0]
+    stride = math.gcd(*steps)
+    series = monte_carlo_mean(
+        model, dec, n_traj, base_seed, equation,
+        dt=dt, t_final=t_final, save_stride=stride, scheme=scheme,
+        observables=observables,
+    )
+    return series, stride, [k // stride for k in steps]
+
+
+def _ks_report(model, pairs, n_traj, observable, t_check, dt, scheme, name):
+    """Two-sample KS report on Re tr(rho_t A) at ``t_check`` between the
+    siwf runs of two (decomposition, seed) pairs."""
+    a, b = (
+        sample_functionals(
+            model, dec, n_traj, seed, "siwf", {"f": observable}, [t_check],
+            dt=dt, t_final=t_check, scheme=scheme,
+        ).samples["f"][:, 0]
+        for dec, seed in pairs
+    )
+    return _report(
+        name,
+        "statistical",
+        ks_two_sample(a, b),
+        ks_critical_value(n_traj, n_traj),
+        details=f"KS on {n_traj}+{n_traj} samples at t={t_check:g}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +272,13 @@ def check_gksl_mean(
     """
     if n_traj < 100:
         raise ValueError("n_traj must be >= 100 for a meaningful comparison")
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    t_final = float(np.max(t_grid))
-    n_steps = resolve_steps(dt, t_final)
-    steps = _sample_schedule(t_grid, dt, n_steps)[0]
-    stride = math.gcd(*steps) if steps else 1
-    stride = max(1, stride)
-    mean = monte_carlo_mean(
-        model, dec, n_traj, base_seed, "siwf",
-        dt=dt, t_final=t_final, save_stride=stride, scheme=scheme,
+    mean, stride, rows = _grid_mean(
+        model, dec, n_traj, base_seed, "siwf", t_grid, dt, scheme
     )
+    n_steps = stride * max(rows)
     rho0 = dec.density()
     _, oracle = gksl_solve(model, rho0, dt, n_steps, stride)
     _, oracle_half = gksl_solve(model, rho0, dt / 2, 2 * n_steps, 2 * stride)
-    rows = [int(np.searchsorted(np.round(mean.times / dt), k)) for k in steps]
     rk4_tol = float(np.max(np.abs(oracle[rows] - oracle_half[rows])))
     denom = 3.0 * mean.se[rows] + rk4_tol + STAT_FLOOR
     stat = float(np.max(np.abs(mean.mean[rows] - oracle[rows]) / denom))
@@ -375,22 +396,9 @@ def check_decomposition_invariance(
             raise ReconstructionError(
                 f"decomposition '{tag}' does not reconstruct rho0", residual
             )
-    samples = []
-    for offset, dec in ((0, dec_a), (1, dec_b)):
-        got = sample_functionals(
-            model, dec, n_traj, base_seed + offset * 900_000_001, "siwf",
-            {"f": observable}, [t_check],
-            dt=dt, t_final=t_check, scheme=scheme,
-        )
-        samples.append(got.samples["f"][:, 0])
-    stat = ks_two_sample(samples[0], samples[1])
-    threshold = ks_critical_value(n_traj, n_traj)
-    return _report(
-        name,
-        "statistical",
-        stat,
-        threshold,
-        details=f"KS on {n_traj}+{n_traj} samples at t={t_check:g}",
+    return _ks_report(
+        model, ((dec_a, base_seed), (dec_b, base_seed + 900_000_001)),
+        n_traj, observable, t_check, dt, scheme, name,
     )
 
 
@@ -408,39 +416,32 @@ def check_linear_route_equivalence(
     """Reweighted linear-route estimates must match direct ensemble ones.
 
     Statistic: max over functionals and times of
-    |weighted - direct| / (LINEAR_ROUTE_N_SE * combined SE).
+    |weighted - direct| / (LINEAR_ROUTE_N_SE * combined SE), with each
+    route's (mean, se) as ``monte_carlo_mean`` reports it.
     """
     if functionals is None:
         functionals = {"f": np.diag([1.0, -1.0]).astype(np.complex128)}
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    t_final = float(np.max(t_grid))
-    direct = sample_functionals(
-        model, dec, n_traj, base_seed, "siwf", functionals, t_grid,
-        dt=dt, t_final=t_final, scheme=scheme,
+    if not functionals:
+        raise ValueError("functionals must name at least one readout")
+    (direct, _, rows), (weighted, _, _) = (
+        _grid_mean(model, dec, n_traj, seed, equation, t_grid, dt, scheme,
+                   functionals)
+        for seed, equation in ((base_seed, "siwf"),
+                               (base_seed + 1_700_000_003, "linear_weighted"))
     )
-    weighted = sample_functionals(
-        model, dec, n_traj, base_seed + 1_700_000_003, "linear_weighted",
-        functionals, t_grid,
-        dt=dt, t_final=t_final, scheme=scheme,
-    )
-    w = weighted.weights
-    stat = 0.0
-    details = []
+    gaps = {}
     for fname in functionals:
-        va = direct.samples[fname]
-        vb = weighted.samples[fname]
-        m_a = va.mean(axis=0)
-        se_a = va.std(axis=0, ddof=1) / math.sqrt(n_traj)
-        m_b = (w[:, None] * vb).sum(axis=0) / w.sum()
-        se_b = np.sqrt(
-            ((w[:, None] ** 2) * (vb - m_b) ** 2).sum(axis=0)
-        ) / w.sum()
-        combined = np.sqrt(se_a**2 + se_b**2)
-        gap = np.abs(m_a - m_b) / (LINEAR_ROUTE_N_SE * combined + STAT_FLOOR)
-        stat = max(stat, float(np.max(gap)))
-        details.append(f"{fname}: max gap {float(np.max(gap)):.3f}")
+        m_a, se_a = direct.observable_stats[fname]
+        m_b, se_b = weighted.observable_stats[fname]
+        combined = np.sqrt(se_a[rows] ** 2 + se_b[rows] ** 2)
+        gaps[fname] = np.abs(m_a[rows] - m_b[rows]) / (
+            LINEAR_ROUTE_N_SE * combined + STAT_FLOOR
+        )
     return _report(
-        name, "statistical", stat, 1.0, details="; ".join(details)
+        name, "statistical", np.max(list(gaps.values())), 1.0,
+        details="; ".join(
+            f"{fname}: max gap {np.max(gap):.3f}" for fname, gap in gaps.items()
+        ),
     )
 
 
@@ -534,9 +535,9 @@ def default_suite(
             )
 
     if wanted["norm_conservation"]:
+        noise = generate_noise(base_seed + 11, rabi.n_channels, dt,
+                               resolve_steps(dt, 1.0))
         for renorm, thresh_tag in ((True, "on"), (False, "off")):
-            noise = generate_noise(base_seed + 11, rabi.n_channels, dt,
-                                   resolve_steps(dt, 1.0))
             rec = run_siwf_trajectory(
                 rabi, rdec, noise, save_stride=10, renormalize=renorm
             )
@@ -635,21 +636,14 @@ def default_suite(
             )
         )
         if include_negative_controls:
-            biased = np.diag([0.7, 0.3]).astype(np.complex128)
-            dec_biased = decompose_density(biased)
-            got = sample_functionals(
-                qubit, dec_biased, n_traj, base_seed + 79, "siwf",
-                {"f": sz}, [0.5], dt=dt, t_final=0.5,
-            ).samples["f"][:, 0]
-            ref = sample_functionals(
-                qubit, dec_eigen, n_traj, base_seed + 83, "siwf",
-                {"f": sz}, [0.5], dt=dt, t_final=0.5,
-            ).samples["f"][:, 0]
-            mismatch = _report(
+            dec_biased = decompose_density(
+                np.diag([0.7, 0.3]).astype(np.complex128)
+            )
+            mismatch = _ks_report(
+                qubit,
+                ((dec_biased, base_seed + 79), (dec_eigen, base_seed + 83)),
+                n_traj, sz, 0.5, dt, "euler_maruyama",
                 "decomposition-invariance[mismatched rho0]",
-                "statistical",
-                ks_two_sample(got, ref),
-                ks_critical_value(n_traj, n_traj),
             )
             reports.append(
                 as_negative_control(

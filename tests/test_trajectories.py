@@ -366,6 +366,16 @@ class TestMonteCarlo:
         assert np.all(got.samples["purity"] <= 1.0 + 1e-9)
         assert got.weights is None
 
+    @pytest.mark.parametrize("entry", [
+        lambda m, d: monte_carlo_mean(m, d, 0, 1, dt=0.01, t_final=0.1),
+        lambda m, d: sample_functionals(m, d, 0, 1, "siwf", {"sz": SZ}, [0.1],
+                                        dt=0.01, t_final=0.1),
+        lambda m, d: weight_paths(m, d, 0, 1, [0.1], dt=0.01, t_final=0.1),
+    ], ids=["monte_carlo_mean", "sample_functionals", "weight_paths"])
+    def test_no_trajectories_rejected(self, entry):
+        with pytest.raises(ValueError, match="n_traj must be >= 1"):
+            entry(qubit_model(1.0, 1.0, "z"), mixture([1.0], [E1]))
+
 
 GOLDEN_HASH_FILE = Path(__file__).parent / "data" / "golden_rabi_record.sha256"
 

@@ -12,11 +12,13 @@ from siwf.model import (
     qubit_model,
     rabi_model,
 )
+import siwf.trajectories as traj
 from siwf.noise import generate_noise
 from siwf.states import InitialDecomposition, decompose_density
 from siwf.trajectories import run_linear_route, run_siwf_trajectory
 from siwf.verify import (
     CONVERGENCE_PATH_SEED,
+    SUITE_DEFAULTS,
     as_negative_control,
     check_decomposition_invariance,
     check_gksl_mean,
@@ -304,6 +306,43 @@ class TestLinearRouteEquivalence:
         rep = check_linear_route_equivalence(model, dec, 50, {"sz": SZ},
                                              base_seed=21)
         assert rep.passed
+
+    def test_single_path_fails(self):
+        # one path has no error estimate; the gap must not read as a pass
+        dec, _ = qubit_mixed_dec()
+        rep = check_linear_route_equivalence(
+            qubit_model(1.0, 1.0, "z"), dec, 1, {"f": SZ}, t_grid=[0.1],
+            dt=0.01,
+        )
+        assert not rep.passed
+
+    def test_no_functionals_rejected(self):
+        # an empty comparison must not pass
+        dec, _ = qubit_mixed_dec()
+        with pytest.raises(ValueError, match="at least one readout"):
+            check_linear_route_equivalence(
+                qubit_model(1.0, 1.0, "z"), dec, 4, {}, t_grid=[0.1], dt=0.01,
+            )
+
+    def test_reads_library_estimator(self, monkeypatch):
+        # shifting the reweighted means that monte_carlo_mean reports by
+        # 10 SE must fail the check at the suite's qubit settings
+        stats = traj._functional_stats
+
+        def shifted(sums, n_traj, names):
+            out = stats(sums, n_traj, names)
+            if "w" in sums:
+                out = {k: (m + 10.0 * s, s) for k, (m, s) in out.items()}
+            return out
+
+        dec, _ = qubit_mixed_dec()
+        kwargs = dict(base_seed=SUITE_DEFAULTS["seed"] + 71, dt=1e-3)
+        model = qubit_model(1.0, 1.0, "z")
+        assert check_linear_route_equivalence(
+            model, dec, 512, {"tr_rho_sz": SZ}, **kwargs).passed
+        monkeypatch.setattr(traj, "_functional_stats", shifted)
+        assert not check_linear_route_equivalence(
+            model, dec, 512, {"tr_rho_sz": SZ}, **kwargs).passed
 
 
 class TestNegativeControlWrapper:
