@@ -142,3 +142,66 @@ def assert_density_matrix(rho) -> np.ndarray:
     if v["negativity"] > PSD_TOL:
         raise DensityMatrixError("density matrix is not PSD", v["negativity"])
     return a
+
+
+# Pade coefficients b_0..b_m of r_m(x) = p_m(x) / p_m(-x) and the largest
+# 1-norm each degree serves to double precision (Higham, SIAM J. Matrix
+# Anal. Appl. 26(4):1179, 2005, Table 2.3)
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+          13: 5.371920351148152e0}
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a square matrix by scaling and squaring.
+
+    Higham's 2005 algorithm: the lowest Pade degree among 3, 5, 7, 9 whose
+    threshold bounds the 1-norm, else degree 13 after scaling by 2**-s and
+    s squarings.  A diagonal matrix gives diag(exp(diag(a))) directly: the
+    Pade result for a diagonal -iH dt is not unitary to the last bit.
+    """
+    a = as_operator(a)
+    if not np.any(a - np.diag(np.diag(a))):
+        return np.diag(np.exp(np.diag(a)))
+    norm = float(np.abs(a).sum(axis=0).max())
+    for m in (3, 5, 7, 9):
+        if norm <= _THETA[m]:
+            return _pade(a, m)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA[13]))))
+    r = _pade(a * 2.0**-s, 13)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """Diagonal Pade approximant r_m(a), solved as (V - U) r = V + U."""
+    b = _PADE[m]
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    if m < 13:
+        powers = [eye, a2]
+        for _ in range(2, m // 2 + 1):
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    return np.linalg.solve(v - u, v + u)

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NormViolationError, DensityMatrixError
-from .linalg import NORM_TOL, TRACE_TOL, as_state, frozen, hermitize
+from .linalg import NORM_TOL, TRACE_TOL, as_state, expm, frozen, hermitize
 from .model import ModelSpec
 from .states import WaveEnsemble
 
@@ -48,7 +47,7 @@ class StepContext:
             raise ValueError(f"unknown scheme '{self.scheme}', choose from {SCHEMES}")
         prop = None
         if self.scheme == "exponential_em":
-            prop = frozen(scipy.linalg.expm(self.model.drift_generator * self.dt))
+            prop = frozen(expm(self.model.drift_generator * self.dt))
         object.__setattr__(self, "propagator", prop)
         d = self.model.dim
         left = list(self.model.lindblads)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from siwf import linalg
 from siwf.errors import DensityMatrixError, NotHermitianError
 from siwf.linalg import (
     assert_density_matrix,
+    expm,
     hermitian_eig,
     hermiticity_defect,
     hermitize,
 )
+from siwf.model import BoxParams, RabiParams, box_model, qubit_model, rabi_model
 
 E1 = np.array([1, 0], dtype=complex)
 E2 = np.array([0, 1], dtype=complex)
@@ -93,3 +97,55 @@ class TestDensityValidation:
     def test_defect_measure(self):
         m = np.array([[0, 2], [0, 0]], dtype=complex)
         assert hermiticity_defect(m) == pytest.approx(2.0)
+
+
+def _rel_gap(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestExpm:
+    """The Pade scaling-and-squaring port against scipy.linalg.expm."""
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("name", ["rabi", "box"])
+    def test_model_generators(self, name, dt):
+        model = {
+            "rabi": lambda: rabi_model(RabiParams(1.0, 1.2, 0.1, 0.5, 0.0, 3)),
+            "box": lambda: box_model(BoxParams(0.5, 0.5, -4.0, 4.0, 16)),
+        }[name]()
+        a = model.drift_generator * dt
+        assert _rel_gap(expm(a), scipy.linalg.expm(a)) <= 1e-13
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-2, 1.0, 10.0])
+    @pytest.mark.parametrize("monitor", ["z", "minus", "x"])
+    def test_qubit_generator_bit_identical(self, monitor, dt):
+        # every qubit generator -i H - L^dagger L / 2 is diagonal
+        a = qubit_model(1.0, 1.0, monitor).drift_generator * dt
+        assert np.array_equal(expm(a), scipy.linalg.expm(a))
+
+    def test_random_diagonal_bit_identical(self):
+        rng = np.random.default_rng(3)
+        a = np.diag(rng.normal(size=7) + 1j * rng.normal(size=7))
+        assert np.array_equal(expm(a), scipy.linalg.expm(a))
+
+    @pytest.mark.parametrize("dim", [2, 6, 16])
+    def test_random_matrices_reach_every_branch(self, dim, monkeypatch):
+        degrees = []
+        pade = linalg._pade
+
+        def spy(a, m):
+            degrees.append(m)
+            return pade(a, m)
+
+        monkeypatch.setattr(linalg, "_pade", spy)
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a /= np.abs(a).sum(axis=0).max()
+        for norm in (0.01, 0.2, 0.9, 2.0, 5.0, 20.0, 100.0):
+            got = expm(norm * a)
+            assert _rel_gap(got, scipy.linalg.expm(norm * a)) <= 1e-13, norm
+        # norms 20 and 100 scale by 2**-s and square s times
+        assert degrees == [3, 5, 7, 9, 13, 13, 13]
+
+    def test_empty(self):
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
