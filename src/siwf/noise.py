@@ -48,7 +48,7 @@ class NoisePath:
             )
 
 
-# Cephes ndtri (S. L. Moshier, Cephes Math Library 2.8), its coefficients,
+# Cephes ndtri (S. L. Moshier, Cephes Math Library), its coefficients,
 # branches and order of operations.  P0/Q0 serve |y - 1/2| <= 1/2 - exp(-2),
 # P1/Q1 the tail with z = sqrt(-2 log y) in [2, 8) and P2/Q2 z in [8, 64),
 # that is y below exp(-32) = 1.27e-14.  Q0/Q1/Q2 omit their leading 1.
@@ -120,7 +120,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     np.subtract(1.0, y, out=y, where=flip)
     np.maximum(y, 2.0**-64, out=y)
 
-    # central branch: y + y (y2 P0(y2) / Q0(y2)) with y = u - 1/2
+    # central branch: sqrt(2 pi) (y + y (y2 P0(y2) / Q0(y2))), y = u - 1/2
     u -= 0.5
     y2 = u * u
     num = _polevl(y2, _P0, np.empty_like(u))
@@ -130,7 +130,8 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     u += num
     u *= _S2PI
 
-    # tail: x0 - x1 with x = sqrt(-2 log y), x0 = x - log x / x, x1 = z P/Q(z)
+    # tail: x0 - x1 with x = sqrt(-2 log y), x0 = x - log x / x, z = 1 / x and
+    # x1 = z P(z) / Q(z); negative where y = u (below 1/2)
     if idx.size:
         x = np.log(y)
         x *= -2.0
