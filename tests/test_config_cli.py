@@ -33,6 +33,13 @@ class TestParseConfig:
         assert err.value.key == "dt"
         assert "positive" in err.value.constraint
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg_text(seed=seed))
+        assert err.value.key == "seed"
+        assert parse_config(cfg_text(seed=2**64 - 1)).seed == 2**64 - 1
+
     def test_dt_beyond_t_final_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config(cfg_text(dt=2.0, t_final=1.0))
@@ -190,17 +197,24 @@ class TestSimulateCli:
         files = read_outputs(tmp_path / "out")
         assert set(files) == {"manifest.json", "mean.csv"}
 
-    def test_thread_count_invariance(self, tmp_path, monkeypatch):
+    def test_monte_carlo_rerun_identity(self, tmp_path):
+        # 600 paths span three blocks; a rerun into a fresh directory
+        # reproduces the mean bytes
         cfg = write_config(tmp_path, n_trajectories=600,
                            output_dir=str(tmp_path / "o1"))
-        monkeypatch.setenv("SIWF_THREADS", "1")
         assert main(["simulate", "--config", str(cfg)]) == 0
-        one = read_outputs(tmp_path / "o1")
-        monkeypatch.setenv("SIWF_THREADS", "8")
+        first = read_outputs(tmp_path / "o1")
         assert main(["simulate", "--config", str(cfg),
-                     "--output-dir", str(tmp_path / "o8")]) == 0
-        eight = read_outputs(tmp_path / "o8")
-        assert one["mean.csv"] == eight["mean.csv"]
+                     "--output-dir", str(tmp_path / "o2")]) == 0
+        second = read_outputs(tmp_path / "o2")
+        assert first["mean.csv"] == second["mean.csv"]
+
+    def test_seed_flag_outside_64_bits_rejected(self, tmp_path, capsys):
+        # -1 would key the same noise as 2**64 - 1 under another name
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_rerun_reproduces(self, tmp_path):
         cfg = write_config(tmp_path, output_dir=str(tmp_path / "a"),
@@ -333,6 +347,9 @@ class TestVerifyCli:
         ({"checks": "martingale"}, "checks"),
         ({"checks": ["model_identities"], "output": "missing/r.json"},
          "--output"),
+        # the noise key keeps 64 bits: these would alias seeds inside
+        ({"seed": -1, "checks": ["model_identities"]}, "seed"),
+        ({"seed": 2**64, "checks": ["model_identities"]}, "seed"),
     ])
     def test_malformed_suite_names_key(self, tmp_path, capsys, doc, key):
         doc = dict(doc)

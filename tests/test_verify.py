@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siwf.errors import ConfigError, ReconstructionError, SiwfError
 from siwf.model import (
@@ -18,7 +20,9 @@ from siwf.states import InitialDecomposition, decompose_density
 from siwf.trajectories import run_linear_route, run_siwf_trajectory
 from siwf.verify import (
     CONVERGENCE_PATH_SEED,
+    DECOMPOSITION_TOL,
     SUITE_DEFAULTS,
+    _pathwise_report,
     as_negative_control,
     check_decomposition_invariance,
     check_gksl_mean,
@@ -30,8 +34,6 @@ from siwf.verify import (
     check_siwf_vs_belavkin,
     default_suite,
     format_table,
-    ks_critical_value,
-    ks_two_sample,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -40,21 +42,6 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 def qubit_mixed_dec():
     rho0 = np.array([[0.65, 0.15], [0.15, 0.35]], dtype=np.complex128)
     return decompose_density(rho0), rho0
-
-
-class TestKs:
-    def test_identical_samples_zero(self):
-        x = np.arange(100.0)
-        assert ks_two_sample(x, x) == 0.0
-
-    def test_disjoint_samples_one(self):
-        assert ks_two_sample(np.zeros(10), np.ones(10)) == 1.0
-
-    def test_critical_value_formula(self):
-        # c(0.01) = sqrt(-ln(0.005)/2) ~ 1.6276
-        assert ks_critical_value(10_000, 10_000) == pytest.approx(
-            1.6276 * np.sqrt(2e-4), rel=1e-3
-        )
 
 
 class TestNormConservation:
@@ -267,22 +254,89 @@ class TestDecompositionInvariance:
             )
 
     def test_negative_control_detects_different_states(self):
+        # the same pathwise comparison, on deliberately different states
         model = qubit_model(1.0, 1.0, "z")
         half = 0.5 * np.eye(2, dtype=complex)
         biased = np.diag([0.7, 0.3]).astype(complex)
         rep = check_decomposition_invariance(
             model, half, decompose_density(half), decompose_density(half),
-            2000, SZ, base_seed=17,
+            256, SZ, base_seed=17,
         )
-        assert rep.passed
-        # same machinery, deliberately different initial states
-        from siwf.trajectories import sample_functionals
-        a = sample_functionals(model, decompose_density(half), 2000, 18,
-                               "siwf", {"f": SZ}, [0.5], t_final=0.5)
-        b = sample_functionals(model, decompose_density(biased), 2000, 19,
-                               "siwf", {"f": SZ}, [0.5], t_final=0.5)
-        stat = ks_two_sample(a.samples["f"][:, 0], b.samples["f"][:, 0])
-        assert stat > ks_critical_value(2000, 2000)
+        assert rep.passed and rep.statistic == 0.0
+        rep = _pathwise_report(
+            model, (decompose_density(half), decompose_density(biased)), 256,
+            SZ, 0.5, 18, 1e-3, "euler_maruyama", "mismatched",
+        )
+        assert not rep.passed and rep.statistic > 0.5
+        assert rep.kind == "exact" and "256 shared paths" in rep.details
+
+    def test_fails_on_per_component_coupling(self, monkeypatch):
+        # a kernel that couples each component only to its own p (each
+        # normalised component runs its own nonlinear step and keeps its
+        # norm) breaks the invariance, and the check must see it
+        step = traj.siwf_step_batch
+
+        def per_component(ctx, psi, dw):
+            b, n, d = psi.shape
+            norms = np.linalg.norm(psi, axis=2, keepdims=True)
+            new, p, _ = step(ctx, (psi / norms).reshape(b * n, 1, d),
+                             np.repeat(dw, n, axis=0))
+            new = new.reshape(b, n, d) * norms
+            p = np.einsum("bn,bnl->bl", norms[..., 0] ** 2,
+                          p.reshape(b, n, -1))
+            return new, p, np.einsum("bni,bni->b", new.conj(), new).real
+
+        model = qubit_model(1.0, 1.0, "z")
+        half = 0.5 * np.eye(2, dtype=complex)
+        rot = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        args = (model, half, decompose_density(half),
+                decompose_density(half, mode="given", weights=[0.5, 0.5],
+                                  vectors=rot), 256, SZ)
+        kwargs = dict(t_check=0.5, base_seed=SUITE_DEFAULTS["seed"] + 73)
+        assert check_decomposition_invariance(*args, **kwargs).passed
+        monkeypatch.setattr(traj, "siwf_step_batch", per_component)
+        assert not check_decomposition_invariance(*args, **kwargs).passed
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 4), m=st.integers(0, 2),
+           scheme=st.sampled_from(["euler_maruyama", "exponential_em"]),
+           renormalize=st.booleans())
+    def test_shared_path_identity(self, data, d, m, scheme, renormalize):
+        # Hughston-Jozsa-Wootters: any isometry U maps the components a_k of
+        # rho = sum_k |a_k><a_k| to b_j = sum_k U_jk a_k with the same rho,
+        # and the siwf run must not tell the two apart on one path
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+
+        def gaussian(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        h = gaussian(d, d)
+        model = make_model(0.5 * (h + h.conj().T),
+                           [0.5 * gaussian(d, d) for _ in range(m)])
+        k = data.draw(st.integers(1, d), label="components")
+        a = gaussian(k, d)
+        a /= np.linalg.norm(a)
+        rho0 = a.T @ a.conj()
+        extra = data.draw(st.integers(0, 2), label="extra components")
+        u = np.linalg.qr(gaussian(k + extra, k))[0]
+        b = u @ a
+        decs = [
+            decompose_density(rho0, mode="given",
+                              weights=np.sum(np.abs(c) ** 2, axis=1),
+                              vectors=c / np.linalg.norm(c, axis=1)[:, None])
+            for c in (a, b)
+        ]
+        noise = generate_noise(seed, m, 1e-2, 100)
+        rec_a, rec_b = (
+            run_siwf_trajectory(model, dec, noise, save_stride=10,
+                                scheme=scheme, renormalize=renormalize)
+            for dec in decs
+        )
+        assert np.max(np.abs(rec_a.densities - rec_b.densities)) \
+            <= DECOMPOSITION_TOL
+        assert np.max(np.abs(rec_a.records - rec_b.records),
+                      initial=0.0) <= 1e-12
 
 
 class TestLinearRouteEquivalence:
