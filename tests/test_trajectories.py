@@ -445,16 +445,17 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _record_digest(rec) -> str:
+def _record_digest(rec, *extra) -> str:
     series = [rec.ensembles, rec.innovations, rec.records]
     return _digest(rec.times, rec.densities,
                    *[a for a in series if a is not None],
-                   *rec.observables.values())
+                   *rec.observables.values(), *extra)
 
 
 def mc_golden_digests() -> dict:
-    """sha256 of every Monte Carlo result array, and of the single-path
-    runs under the exponential scheme, keyed by case."""
+    """sha256 of every Monte Carlo result array, of the single-path runs
+    under the exponential scheme and of the linear route under both
+    schemes, keyed by case."""
     model, mixed, pure, obs = _mc_golden_setup()
     kwargs = dict(dt=1e-3, t_final=0.04, save_stride=7, observables=obs)
     out = {}
@@ -496,6 +497,11 @@ def mc_golden_digests() -> dict:
         model, pure.vectors[0], noise, 7, observables=obs, **unnormalized))
     out["path-belavkin-expm"] = _record_digest(run_belavkin_trajectory(
         model, mixed.density(), noise, 7, observables=obs, **unnormalized))
+    for name, stride, scheme in (("expm", 7, "exponential_em"),
+                                 ("em", 1, "euler_maruyama")):
+        rec, weights = run_linear_route(model, mixed, noise, stride,
+                                        scheme=scheme, observables=obs)
+        out[f"path-linear-{name}"] = _record_digest(rec, weights)
     s = monte_carlo_mean(model, mixed, 600, 35, "siwf", **kwargs,
                          **unnormalized)
     m, se = s.observable_stats["x01"]
