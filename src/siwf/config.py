@@ -295,6 +295,10 @@ def _build_observables(entries, model: ModelSpec) -> dict:
                      f"must be Hermitian (hermiticity defect {defect:.3e})")
             name = entry["name"]
             _require(isinstance(name, str), f"{key}.name", "must be a string")
+            # a CSV header field: unquoted, so none of the field separators
+            _require(name != "" and not any(c in name for c in ',"\r\n'),
+                     f"{key}.name",
+                     "must be non-empty, without a comma, quote or line break")
         else:
             raise ConfigError(
                 key, "must be an observable name or a {name, matrix} object"

@@ -277,6 +277,10 @@ class TestSimulateCli:
          "observables[0].name"),
         ("simulate", {"observables": [{"name": "up", "matrix": H_UPPER}]},
          "observables[0].matrix"),
+        ("simulate", {"observables": [{"name": "a,b", "matrix": H_X}]},
+         "observables[0].name"),
+        ("simulate", {"observables": ["sigma_z", {"name": "", "matrix": H_X}]},
+         "observables[1].name"),
         ("simulate", {"observables": ["sigma_z", "sigma_z",
                                       {"name": "time", "matrix": H_X}]},
          "observables[1]"),
@@ -301,6 +305,7 @@ class TestSimulateCli:
     ], ids=["weights-string", "vectors-number", "vectors-empty",
             "potential-strings", "lindblads-number", "non-hermitian",
             "observable-name-list", "observable-non-hermitian",
+            "observable-name-comma", "observable-name-empty",
             "observable-duplicate", "observable-named-time",
             "observable-named-record", "observable-named-weight",
             "observable-named-se-column", "t_final-inf", "steps-overflow",
