@@ -1,17 +1,18 @@
 """Trajectory drivers: single-path runs, the reweighted linear route, and
 blocked Monte Carlo averaging.
 
-The siwf, nonlinear and Belavkin single-path runners share one body,
-``_run_stack``: each integrates a one-trajectory stack with the batched
-kernels.  The nonlinear runner is the siwf runner on a one-component
-stack.  Monte Carlo runs are vectorized over fixed-size blocks of
-trajectories.  Each trajectory owns the noise substream (base_seed,
-trajectory_index).  A block returns plain data, (sums, samples, final
-weights): named per-saved-time sums, per-trajectory functional samples and
-the reweighted route's importance weights.  Blocks run one after another
-in block order, and their sums are added with a plain left-to-right
-``sum``; the fixed partition and the fixed addition order make every
-result reproducible bit for bit.
+The four stochastic single-path runners (siwf, nonlinear, the linear
+route and Belavkin) share one body, ``_run_stack``: each integrates a
+one-trajectory stack with the batched kernels.  The nonlinear runner is the
+siwf runner on a one-component stack; the linear route normalizes its saved
+stacks after the run.  Monte Carlo runs are vectorized over fixed-size
+blocks of trajectories.  Each trajectory owns the noise substream
+(base_seed, trajectory_index).  A block returns plain data, (sums,
+samples, final weights): named per-saved-time sums, per-trajectory
+functional samples and the reweighted route's importance weights.  Blocks
+run one after another in block order, and their sums are added with a
+plain left-to-right ``sum``; the fixed partition and the fixed addition
+order make every result reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -119,63 +120,59 @@ def _integrate(state, n_steps, idx, step, save):
         state = step(k, state)
 
 
-def _run_path(noise, n_ch, state, idx, advance, save, settle=None):
-    """Integrate one noise path; returns the (driving, other) record series
-    at the saved steps.
-
-    ``advance(state, dw)`` returns the next state and the signed record drift
-    +-2 Re tr(L_l rho) of the pre-step state; the other series adds
-    ``drift * dt`` after each increment.  Kernel failures are reported with
-    their step; ``settle(state, k)`` then post-processes the new state.
-    """
-    dws = noise.increments[:, :n_ch]
-    drift = np.empty((noise.n_steps, n_ch))
-
-    def step(k, state):
-        try:
-            state, drift[k] = advance(state, dws[k])
-        except Exception as exc:
-            raise StepFailureError(k, exc) from exc
-        return state if settle is None else settle(state, k + 1)
-
-    _integrate(state, noise.n_steps, idx, step, save)
-    # both sums run step by step (a leading zero row, then increment and
-    # drift interleaved), exactly as a running total would round them
-    seq = np.zeros((2 * noise.n_steps + 1, n_ch))
-    seq[1::2] = dws
-    driving = np.cumsum(seq, axis=0)[0::2]
-    seq[2::2] = drift * noise.dt
-    other = np.cumsum(seq, axis=0)[0::2]
-    return driving[idx], other[idx]
-
-
 def _run_stack(model, noise, save_stride, stack, advance):
-    """Integrate a one-trajectory stack (leading axis of one) along ``noise``
-    with ``advance`` (see ``_run_path``): (times, saved stacks without the
-    leading axis, W series, B series)."""
+    """Integrate a one-trajectory stack (leading axis of one) along ``noise``;
+    returns (saved step indices, saved stacks without the leading axis,
+    driving series, other series).
+
+    ``advance(k, state, dw)`` returns state k + 1 and the signed record drift
+    +-2 Re tr(L_l rho) of state k.  The driving series sums the increments;
+    the other series adds ``drift * dt`` after each increment.  Every saved
+    state must be finite.  A ``SiwfError`` raised by ``advance`` carries its
+    own step and propagates as it is; any other exception becomes
+    ``StepFailureError(k, ...)``.
+    """
     _check_noise(model, noise)
     idx = save_indices(noise.n_steps, save_stride)
+    dws = noise.increments[:, :model.n_channels]
+    drift = np.empty(dws.shape)
     out = np.empty((idx.size,) + stack.shape[1:], dtype=np.complex128)
 
     def save(j, k, s):
         _ensure_finite(s, k)
         out[j] = s[0]
 
-    w_out, b_out = _run_path(noise, model.n_channels, stack, idx, advance, save)
-    return idx * noise.dt, out, w_out, b_out
+    def step(k, s):
+        try:
+            s, drift[k] = advance(k, s, dws[k])
+        except SiwfError:
+            raise
+        except Exception as exc:
+            raise StepFailureError(k, exc) from exc
+        return s
+
+    _integrate(stack, noise.n_steps, idx, step, save)
+    # both sums run step by step (a leading zero row, then increment and
+    # drift interleaved), exactly as a running total would round them
+    seq = np.zeros((2 * noise.n_steps + 1, model.n_channels))
+    seq[1::2] = dws
+    driving = np.cumsum(seq, axis=0)[0::2]
+    seq[2::2] = drift * noise.dt
+    other = np.cumsum(seq, axis=0)[0::2]
+    return idx, out, driving[idx], other[idx]
 
 
 def _run_ensemble(ctx, noise, save_stride, observables, psi):
     """``run_siwf_trajectory`` from the (1, N, d) stack ``psi``."""
 
-    def advance(psi, dw):
+    def advance(k, psi, dw):
         psi, p, _ = siwf_step_batch(ctx, psi, dw[None, :])
         return psi, 2.0 * p[0]
 
-    times, ens, w_out, b_out = _run_stack(ctx.model, noise, save_stride, psi,
-                                          advance)
+    idx, ens, w_out, b_out = _run_stack(ctx.model, noise, save_stride, psi,
+                                        advance)
     densities = np.einsum("kni,knj->kij", ens, ens.conj())
-    return _record(times, densities, observables,
+    return _record(idx * noise.dt, densities, observables,
                    ensembles=ens, innovations=w_out, records=b_out)
 
 
@@ -233,41 +230,35 @@ def run_linear_route(
 
     Returns (record, weight path at the saved times).
     """
-    _check_noise(model, noise)
     ctx = StepContext(model, scheme, noise.dt, renormalize=False)
-    idx = save_indices(noise.n_steps, save_stride)
-    phi = init_ensemble(dec).components[None].copy()
-    ens_out = np.empty((idx.size,) + phi.shape[1:], dtype=np.complex128)
-    dens_out = np.empty((idx.size, model.dim, model.dim), dtype=np.complex128)
-    weights = np.empty(idx.size)
 
-    def weigh(phi, k):
-        # the state is carried as (phi, weight, rho_hat)
+    def advance(k, phi, db):
+        # state k is weighed before its step, so an extinct or diverged
+        # state is reported at its own step, saved or not
         weight = float(np.sum(np.abs(phi) ** 2))
         if not np.isfinite(weight):
             _ensure_finite(phi, k)
         if weight < EXTINCTION_THRESHOLD:
             raise TrajectoryExtinctError(weight, k, noise.stream)
         rho_hat = np.einsum("ni,nj->ij", phi[0], phi[0].conj()) / weight
-        return phi, weight, rho_hat
-
-    def save(j, k, state):
-        phi, weight, dens_out[j] = state
-        weights[j] = weight
-        ens_out[j] = phi[0] / np.sqrt(weight)
-
-    def advance(state, db):
-        phi, _, rho_hat = state
         tr = np.array(
             [np.trace(l_op @ rho_hat).real for l_op in model.lindblads]
         )
         return linear_step_batch(ctx, phi, db[None, :]), -2.0 * tr
 
-    b_out, w_out = _run_path(
-        noise, model.n_channels, weigh(phi, 0), idx, advance, save, weigh
+    idx, phi, b_out, w_out = _run_stack(
+        model, noise, save_stride, init_ensemble(dec).components[None],
+        advance,
     )
-    record = _record(idx * noise.dt, dens_out, observables,
-                     ensembles=ens_out, innovations=w_out, records=b_out)
+    # the last state is the one advance never weighed
+    weights = np.sum(np.abs(phi) ** 2, axis=(1, 2))
+    if weights[-1] < EXTINCTION_THRESHOLD:
+        raise TrajectoryExtinctError(float(weights[-1]), noise.n_steps,
+                                     noise.stream)
+    dens = np.einsum("kni,knj->kij", phi, phi.conj()) / weights[:, None, None]
+    record = _record(idx * noise.dt, dens, observables,
+                     ensembles=phi / np.sqrt(weights)[:, None, None],
+                     innovations=w_out, records=b_out)
     return record, weights
 
 
@@ -283,15 +274,16 @@ def run_belavkin_trajectory(
     """Integrate the conditioned master equation directly along one path."""
     ctx = StepContext(model, scheme, noise.dt, renormalize)
 
-    def advance(rho, dw):
+    def advance(k, rho, dw):
         rho, tr = belavkin_step_batch(ctx, rho, dw[None, :])
         return rho, 2.0 * tr[0]
 
-    times, dens, w_out, b_out = _run_stack(
+    idx, dens, w_out, b_out = _run_stack(
         model, noise, save_stride, np.asarray(rho0, dtype=np.complex128)[None],
         advance,
     )
-    return _record(times, dens, observables, innovations=w_out, records=b_out)
+    return _record(idx * noise.dt, dens, observables, innovations=w_out,
+                   records=b_out)
 
 
 def gksl_solve(

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siwf.errors import ConfigError, SiwfError, TrajectoryExtinctError
+from siwf.errors import (ConfigError, SiwfError, StepFailureError,
+                         TrajectoryExtinctError)
 from siwf.model import (
     BoxParams,
     RabiParams,
@@ -188,7 +189,10 @@ class TestLinearRoute:
         se = w[:, 0].std(ddof=1) / np.sqrt(2000)
         assert abs(mean - 1.0) <= 4 * se
 
-    def test_extinction_raises(self):
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_extinction_raises(self, stride):
+        # the weight is (1 - dt/2 - 0.1)^(2k), below 1e-12 first at k = 131;
+        # an extinct state between two saves is reported at its own step
         model = make_model(np.zeros((2, 2)), [SIGMA_Z])
         dec = mixture([1.0], [E1])
         dt = 1e-3
@@ -196,9 +200,23 @@ class TestLinearRoute:
         noise = NoisePath(seed=0, n_channels=1, dt=dt, n_steps=300,
                           increments=inc, stream=7)
         with pytest.raises(TrajectoryExtinctError) as err:
-            run_linear_route(model, dec, noise)
+            run_linear_route(model, dec, noise, save_stride=stride)
         assert err.value.trajectory == 7
+        assert err.value.step == 131
         assert "trajectory 7 " in str(err.value)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_nan_increment_reports_its_step(self, stride):
+        # a NaN increment at step 40 makes state 41 non-finite
+        model = make_model(np.zeros((2, 2)), [SIGMA_Z])
+        dec = mixture([1.0], [E1])
+        inc = generate_noise(8, 1, 1e-3, 100).increments.copy()
+        inc[40, 0] = np.nan
+        noise = NoisePath(seed=8, n_channels=1, dt=1e-3, n_steps=100,
+                          increments=inc)
+        with pytest.raises(StepFailureError) as err:
+            run_linear_route(model, dec, noise, save_stride=stride)
+        assert err.value.step == 41
 
     def test_monte_carlo_extinction_names_trajectory(self):
         # L = 10 I at dt = 0.01 scales the weight by (0.5 + Z)^2 per step;
@@ -223,15 +241,16 @@ class TestRecordSums:
     def test_sums_match_running_totals(self, stride):
         # the path driver's record series must round exactly like the
         # running totals w += dw; b += dw + drift dt
-        from siwf.trajectories import _run_path, save_indices
+        from siwf.trajectories import _run_stack, save_indices
         n_steps, n_ch = 50, 2
+        model = make_model(np.zeros((2, 2)), [SIGMA_Z, SIGMA_MINUS])
         noise = generate_noise(4, 3, 1e-3, n_steps)
         drifts = np.random.default_rng(0).normal(size=(n_steps, n_ch))
-        idx = save_indices(n_steps, stride)
-        driving, other = _run_path(
-            noise, n_ch, 0, idx,
-            lambda k, dw: (k + 1, drifts[k]), lambda j, k, s: None,
+        idx, _, driving, other = _run_stack(
+            model, noise, stride, np.zeros((1, 2), dtype=complex),
+            lambda k, s, dw: (s, drifts[k]),
         )
+        assert np.array_equal(idx, save_indices(n_steps, stride))
         w, b = np.zeros(n_ch), np.zeros(n_ch)
         w_ref, b_ref = [w], [b]
         for k in range(n_steps):
@@ -248,7 +267,6 @@ class TestFailurePropagation:
     def test_divergent_run_reports_step_index(self):
         # explicit Euler on a stiff grid Hamiltonian blows up; the driver
         # must surface the failing step rather than emit NaNs
-        from siwf.errors import StepFailureError
         from siwf.model import BoxParams, box_model
         model = box_model(BoxParams(1.0, 0.5, -1.0, 1.0, 16))
         grid = np.asarray(model.meta["grid"])
