@@ -8,11 +8,12 @@ siwf runner on a one-component stack; the linear route normalizes its saved
 stacks after the run.  Monte Carlo runs are vectorized over fixed-size
 blocks of trajectories.  Each trajectory owns the noise substream
 (base_seed, trajectory_index).  A block returns plain data, (sums,
-samples, final weights): named per-saved-time sums, per-trajectory
-functional samples and the reweighted route's importance weights.  Blocks
-run one after another in block order, and their sums are added with a
-plain left-to-right ``sum``; the fixed partition and the fixed addition
-order make every result reproducible bit for bit.
+samples, weights): named per-saved-time sums, per-trajectory functional
+samples and the reweighted route's importance weights at every save,
+which ``weight_paths`` reads.  Blocks run one after another in block
+order, and their sums are added with a plain left-to-right ``sum``; the
+fixed partition and the fixed addition order make every result
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -293,12 +294,16 @@ def gksl_solve(
     n_steps: int,
     save_stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 solution of the mean master equation: (times, densities)."""
+    """RK4 solution of the mean master equation: (times, densities).
+
+    A non-finite saved state raises ``StepFailureError`` at its step.
+    """
     ctx = StepContext(model, "euler_maruyama", dt, renormalize=False)
     idx = save_indices(n_steps, save_stride)
     out = np.empty((idx.size, model.dim, model.dim), dtype=np.complex128)
 
     def save(j, k, rho):
+        _ensure_finite(rho, k)
         out[j] = rho
 
     _integrate(
@@ -400,14 +405,10 @@ def _functional_stats(sums, n_traj, names):
     return out
 
 
-def _initial_stack(dec, block):
-    psi0 = init_ensemble(dec).components
-    return np.broadcast_to(psi0, (block,) + psi0.shape).copy()
-
-
 def _weights(phi, k, streams):
-    """Importance weights ||phi||^2 of a (B, N, d) block at step k; an
-    extinct trajectory raises, naming its stream."""
+    """Importance weights ||phi||^2 of a (B, N, d) block at step k; a
+    non-finite block raises, an extinct trajectory too, naming its stream."""
+    _ensure_finite(phi, k)
     w = np.einsum("bni,bni->b", phi.conj(), phi).real
     if np.any(w < EXTINCTION_THRESHOLD):
         bad = int(np.argmin(w))
@@ -446,20 +447,23 @@ def _save_sums(rho_b, w_final, functionals):
 
 def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
                      functionals, func_positions):
-    """Advance one block of trajectories: (sums, samples, final weights),
-    all plain arrays.
+    """Advance one block of trajectories: (sums, samples, weights), all
+    plain arrays.
 
     ``sums`` maps each name of ``_save_sums`` to its array over the saved
     times; the reweighted route adds the scalars w = sum w, w2 = sum w^2.
     ``samples`` maps each functional to its (B, slots) values, slot i read
-    at save ``func_positions[i]``.  The final importance weights are None
-    off the reweighted route.  ``_run_blocks`` adds the sums of all blocks
-    in block order.
+    at save ``func_positions[i]``.  ``weights`` holds the reweighted route's
+    importance weights at every save, shape (saves, B), the final weights
+    in its last row; it is None off that route.  ``_run_blocks`` adds the
+    sums of all blocks in block order.
 
     The unweighted equations reduce each saved state as it is reached.  The
     reweighted route keeps references to its saved stacks (every kernel
-    returns a fresh array) until the final importance weights are known,
-    then checks and reduces them in save order.
+    returns a fresh array), weighs them in save order, then reduces them by
+    the final weights.  A non-finite or extinct trajectory raises at the
+    first saved step that holds one; an extinct one names the block's
+    lightest trajectory at that step.
     """
     block = len(streams)
     dim = model.dim
@@ -470,7 +474,8 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
         state = np.broadcast_to(dec.density(), (block, dim, dim)).copy()
         step = lambda k, s: belavkin_step_batch(ctx, s, dw[:, k, :])[0]
     else:
-        state = _initial_stack(dec, block)
+        psi0 = init_ensemble(dec).components
+        state = np.broadcast_to(psi0, (block,) + psi0.shape).copy()
         if equation == "nonlinear" and state.shape[1] != 1:
             raise SiwfError(
                 "the pure-state equation needs a single-component initial state"
@@ -491,16 +496,15 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
                 for name, v in values.items():
                     samples[name][:, slot] = v
 
-    w_final = None
+    weights = None
     if weighted:
         saved = []
-        phi = _integrate(state, n_steps, idx, step, lambda j, k, s: saved.append(s))
-        w_final = _weights(phi, n_steps, streams)
-        for j, (k, phi) in enumerate(zip(idx.tolist(), saved)):
-            _ensure_finite(phi, k)
-            w = _weights(phi, k, streams)
-            rho_b = np.einsum("bni,bnj->bij", phi, phi.conj()) / w[:, None, None]
-            reduce(j, rho_b, w_final)
+        _integrate(state, n_steps, idx, step, lambda j, k, s: saved.append(s))
+        weights = np.array([_weights(phi, k, streams)
+                            for k, phi in zip(idx.tolist(), saved)])
+        for j, phi in enumerate(saved):
+            rho_b = np.einsum("bni,bnj->bij", phi, phi.conj())
+            reduce(j, rho_b / weights[j][:, None, None], weights[-1])
     else:
 
         def save(j, k, s):
@@ -513,8 +517,9 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
 
     sums = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     if weighted:
+        w_final = weights[-1]
         sums.update(w=float(np.sum(w_final)), w2=float(np.sum(w_final**2)))
-    return sums, samples, w_final
+    return sums, samples, weights
 
 
 def _map_blocks(n_traj, work):
@@ -565,7 +570,7 @@ def _run_blocks(
     return (
         {key: sum(s[key] for s in sums) for key in sums[0]},
         {name: np.concatenate([s[name] for s in samples]) for name in samples[0]},
-        None if weights[0] is None else np.concatenate(weights),
+        None if weights[0] is None else np.concatenate(weights, axis=1),
     )
 
 
@@ -635,7 +640,7 @@ def sample_functionals(
     return FunctionalSamples(
         times=np.asarray(req, dtype=float) * dt,
         samples=samples,
-        weights=weights,
+        weights=None if weights is None else weights[-1],
         equation=equation,
     )
 
@@ -653,25 +658,14 @@ def weight_paths(
     """Per-trajectory linear-route importance weights w_t at selected times.
 
     Returns (times, weights) with weights of shape (n_traj, len(times)).
+    The weights are those the reweighted Monte Carlo route computes, so a
+    trajectory whose weight falls below ``EXTINCTION_THRESHOLD`` at a
+    sample time or at t_final raises ``TrajectoryExtinctError``.
     """
     n_steps = resolve_steps(dt, t_final)
     req, idx, pos = _sample_schedule(sample_times, dt, n_steps)
-    ctx = StepContext(model, scheme, dt, renormalize=False)
-
-    def work(streams):
-        dw = generate_noise_block(
-            base_seed, model.n_channels, dt, n_steps, streams
-        )
-        out = np.empty((idx.size, len(streams)))
-
-        def save(j, k, phi):
-            out[j] = np.einsum("bni,bni->b", phi.conj(), phi).real
-
-        _integrate(
-            _initial_stack(dec, len(streams)), n_steps, idx,
-            lambda k, phi: linear_step_batch(ctx, phi, dw[:, k, :]), save,
-        )
-        return out
-
-    all_w = np.concatenate(_map_blocks(n_traj, work), axis=1)
-    return np.asarray(req, dtype=float) * dt, all_w[pos].T
+    _, _, weights = _run_blocks(
+        model, dec, n_traj, base_seed, "linear_weighted", dt, n_steps, idx,
+        scheme, False, {}, [],
+    )
+    return np.asarray(req, dtype=float) * dt, weights[pos].T

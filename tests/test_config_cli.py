@@ -209,6 +209,20 @@ class TestSimulateCli:
         second = read_outputs(tmp_path / "o2")
         assert first["mean.csv"] == second["mean.csv"]
 
+    def test_diverging_gksl_run_exit_code(self, tmp_path, capsys):
+        # RK4 at dt = 1e-3 is unstable on the stiff alpha_kin = 50 box; the
+        # run must fail rather than write NaN rows
+        cfg = write_config(
+            tmp_path, model={"preset": "box", "alpha_kin": 50, "n_grid": 32},
+            initial_state={"kind": "basis", "index": 3}, equation="gksl",
+            t_final=0.2, save_stride=50, observables=[],
+            output_dir=str(tmp_path / "out"),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "step 50" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mean.csv").exists()
+
     def test_seed_flag_outside_64_bits_rejected(self, tmp_path, capsys):
         # -1 would key the same noise as 2**64 - 1 under another name
         cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"))

@@ -1,9 +1,12 @@
-"""siwf runs a simulation's set-up without importing scipy."""
+"""siwf runs a simulation's set-up without importing scipy, and runs as
+``python -m siwf``."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from siwf import __version__
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -21,13 +24,22 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_setup_imports_no_scipy():
+def _run(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    out = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True,
-        text=True, check=True,
-    )
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_setup_imports_no_scipy():
+    out = _run("-c", SCRIPT)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_siwf_runs():
+    out = _run("-m", "siwf", "--version")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == __version__

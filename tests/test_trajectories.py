@@ -16,9 +16,10 @@ from siwf.model import (
     qubit_model,
     rabi_model,
 )
-from siwf.noise import NoisePath, generate_noise
+from siwf.noise import NoisePath, generate_noise, generate_noise_block
 from siwf.recordio import record_to_csv
 from siwf.states import InitialDecomposition, decompose_density
+from siwf.steppers import StepContext, linear_step_batch
 from siwf.trajectories import (
     BLOCK_SIZE,
     EXTINCTION_THRESHOLD,
@@ -218,22 +219,56 @@ class TestLinearRoute:
             run_linear_route(model, dec, noise, save_stride=stride)
         assert err.value.step == 41
 
-    def test_monte_carlo_extinction_names_trajectory(self):
+    @pytest.mark.parametrize("run, saved", [
+        (lambda m, d: monte_carlo_mean(m, d, 512, 4, "linear_weighted",
+                                       dt=0.01, t_final=0.08), list(range(9))),
+        (lambda m, d: weight_paths(m, d, 512, 4, [0.08], dt=0.01,
+                                   t_final=0.08), [8]),
+    ], ids=["monte_carlo_mean", "weight_paths"])
+    def test_monte_carlo_extinction_names_trajectory(self, run, saved):
         # L = 10 I at dt = 0.01 scales the weight by (0.5 + Z)^2 per step;
         # on seed 4 the first block holds no extinct path and the second two
+        # (278 and 435, the lightest).  The error names the lightest path of
+        # the first block that holds one, at its first saved extinct step.
         model = make_model(np.zeros((2, 2)), [10.0 * np.eye(2)])
         dec = mixture([1.0], [E1])
-        kwargs = dict(dt=0.01, t_final=0.08)
-        _, w = weight_paths(model, dec, 512, 4, [0.08], **kwargs)
-        blocks = w[:, 0].reshape(2, BLOCK_SIZE)
-        first = int(np.flatnonzero((blocks < EXTINCTION_THRESHOLD).any(1))[0])
-        expected = first * BLOCK_SIZE + int(np.argmin(blocks[first]))
-        assert expected >= BLOCK_SIZE
+        ctx = StepContext(model, "euler_maruyama", 0.01, renormalize=False)
+        w = np.ones((9, 512))
+        for start in range(0, 512, BLOCK_SIZE):
+            streams = range(start, start + BLOCK_SIZE)
+            dw = generate_noise_block(4, 1, 0.01, 8, streams)
+            phi = np.zeros((BLOCK_SIZE, 1, 2), dtype=complex)
+            phi[:, 0, 0] = 1.0
+            for k in range(8):
+                phi = linear_step_batch(ctx, phi, dw[:, k, :])
+                w[k + 1, streams] = np.einsum("bni,bni->b", phi.conj(),
+                                              phi).real
+        assert np.array_equal(np.flatnonzero(w[8] < EXTINCTION_THRESHOLD),
+                              [278, 435])
+        blocks = w[saved].reshape(len(saved), 2, BLOCK_SIZE)
+        extinct = blocks < EXTINCTION_THRESHOLD
+        first = int(np.flatnonzero(extinct.any(axis=(0, 2)))[0])
+        row = int(np.flatnonzero(extinct[:, first].any(axis=1))[0])
+        step = saved[row]
+        expected = first * BLOCK_SIZE + int(np.argmin(blocks[row, first]))
+        assert expected == 435
         with pytest.raises(TrajectoryExtinctError) as err:
-            monte_carlo_mean(model, dec, 512, 4, "linear_weighted", **kwargs)
+            run(model, dec)
         assert err.value.trajectory == expected
-        assert err.value.weight == w[expected, 0]
+        assert err.value.step == step
+        assert err.value.weight == w[step, expected]
         assert f"trajectory {expected} " in str(err.value)
+
+    def test_monte_carlo_extinction_reports_first_saved_step(self):
+        # seed 1: path 144 is extinct at step 8 and path 34 is the lightest
+        # at t_final, step 16; the first saved extinct step wins
+        model = make_model(np.zeros((2, 2)), [10.0 * np.eye(2)])
+        dec = mixture([1.0], [E1])
+        with pytest.raises(TrajectoryExtinctError) as err:
+            monte_carlo_mean(model, dec, 256, 1, "linear_weighted", dt=0.01,
+                             t_final=0.16, save_stride=8)
+        assert err.value.step == 8
+        assert err.value.trajectory == 144
 
 
 class TestRecordSums:
@@ -313,6 +348,17 @@ class TestGksl:
         times, rhos = gksl_solve(model, np.diag([1.0, 0.0]), 1e-3, 1000, 100)
         assert rhos[-1][0, 0].real == pytest.approx(np.exp(-1.0), abs=1e-10)
         assert times[-1] == pytest.approx(1.0)
+
+    def test_diverging_run_raises(self):
+        # RK4 at dt = 1e-3 is unstable on the stiff alpha_kin = 50 box;
+        # the first saved non-finite state is step 50
+        model = box_model(BoxParams(50.0, 1.0, 0.0, 1.0, 32))
+        rho0 = np.zeros((32, 32), dtype=complex)
+        rho0[3, 3] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepFailureError) as err:
+                gksl_solve(model, rho0, 1e-3, 200, 50)
+        assert err.value.step == 50
 
 
 class TestMonteCarlo:
