@@ -23,6 +23,7 @@ from .config import (
     _require,
     _seed,
     parse_config_dict,
+    unwrap_manifest,
 )
 from .errors import ConfigError, SiwfError
 from .noise import coarsen, generate_noise
@@ -55,11 +56,7 @@ def _load_config(path: str, overrides: dict) -> SimConfig:
         raise SiwfError(f"cannot read config '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<root>", f"invalid JSON in '{path}': {exc}") from exc
-    if isinstance(doc, dict) and {"artifact", "version", "config"} <= set(doc):
-        doc = doc["config"]
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    doc = dict(doc)
+    doc = dict(unwrap_manifest(doc))
     doc.update(overrides)
     return parse_config_dict(doc)
 
@@ -330,7 +327,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run is reported once, at its step, by the drivers'
+        # finiteness checks; numpy's per-operation warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except SiwfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

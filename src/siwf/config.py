@@ -373,15 +373,21 @@ class SimConfig:
         }
 
 
-def parse_config_dict(doc: dict) -> SimConfig:
-    """Validate a decoded config document into a SimConfig."""
+def unwrap_manifest(doc) -> dict:
+    """The config object of a decoded config document or manifest: a
+    manifest is accepted wherever a config is."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     if set(doc) >= {"artifact", "version", "config"}:
-        # a manifest is accepted wherever a config is
         doc = doc["config"]
         if not isinstance(doc, dict):
             raise ConfigError("config", "manifest 'config' must be an object")
+    return doc
+
+
+def parse_config_dict(doc: dict) -> SimConfig:
+    """Validate a decoded config document (or manifest) into a SimConfig."""
+    doc = unwrap_manifest(doc)
     _check_keys(doc, _TOP_KEYS, "")
     _require("model" in doc, "model", "is required")
 

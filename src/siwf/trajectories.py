@@ -97,13 +97,16 @@ def _record(times, densities, observables, **series) -> TrajectoryRecord:
     )
 
 
-def _ensure_finite(state: np.ndarray, step: int) -> None:
+def _ensure_finite(state: np.ndarray, step: int,
+                   remedy: str = "the exponential scheme or a smaller dt") -> None:
+    """Raise ``StepFailureError`` at ``step`` if ``state`` is not finite,
+    naming the ``remedy`` the driver's scheme allows."""
     if not np.all(np.isfinite(state)):
         raise StepFailureError(
             step,
             FloatingPointError(
                 "state diverged (non-finite entries); a stiff Hamiltonian "
-                "usually needs the exponential scheme or a smaller dt"
+                f"usually needs {remedy}"
             ),
         )
 
@@ -303,7 +306,8 @@ def gksl_solve(
     out = np.empty((idx.size, model.dim, model.dim), dtype=np.complex128)
 
     def save(j, k, rho):
-        _ensure_finite(rho, k)
+        # RK4 is the only scheme here, so only a smaller dt helps
+        _ensure_finite(rho, k, remedy="a smaller dt")
         out[j] = rho
 
     _integrate(

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,8 @@ import pytest
 from siwf.cli import _load_suite, main
 from siwf.config import parse_config, parse_config_dict
 from siwf.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def cfg_text(**overrides):
@@ -175,6 +180,17 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def stiff_gksl_config(tmp_path):
+    """A gksl run that diverges: RK4 at dt = 1e-3 is unstable on the stiff
+    alpha_kin = 50 box, and the first saved non-finite state is step 50."""
+    return write_config(
+        tmp_path, model={"preset": "box", "alpha_kin": 50, "n_grid": 32},
+        initial_state={"kind": "basis", "index": 3}, equation="gksl",
+        t_final=0.2, save_stride=50, observables=[],
+        output_dir=str(tmp_path / "out"),
+    )
+
+
 def read_outputs(outdir):
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
@@ -210,18 +226,35 @@ class TestSimulateCli:
         assert first["mean.csv"] == second["mean.csv"]
 
     def test_diverging_gksl_run_exit_code(self, tmp_path, capsys):
-        # RK4 at dt = 1e-3 is unstable on the stiff alpha_kin = 50 box; the
-        # run must fail rather than write NaN rows
-        cfg = write_config(
-            tmp_path, model={"preset": "box", "alpha_kin": 50, "n_grid": 32},
-            initial_state={"kind": "basis", "index": 3}, equation="gksl",
-            t_final=0.2, save_stride=50, observables=[],
-            output_dir=str(tmp_path / "out"),
-        )
+        # the run must fail rather than write NaN rows
+        cfg = stiff_gksl_config(tmp_path)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["simulate", "--config", str(cfg)]) == 2
         assert "step 50" in capsys.readouterr().err
         assert not (tmp_path / "out" / "mean.csv").exists()
+
+    def test_diverging_gksl_run_names_only_dt(self, tmp_path, capsys):
+        # gksl_solve runs RK4 whatever the scheme, so only dt is a remedy
+        assert main(["simulate", "--config",
+                     str(stiff_gksl_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert "a smaller dt" in err
+        assert "exponential" not in err
+
+    def test_diverging_run_writes_one_error_line(self, tmp_path):
+        # numpy's overflow warnings stay quiet; the error names the step
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run(
+            [sys.executable, "-m", "siwf", "simulate", "--config",
+             str(stiff_gksl_config(tmp_path))],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+        assert "step 50" in lines[0]
 
     def test_seed_flag_outside_64_bits_rejected(self, tmp_path, capsys):
         # -1 would key the same noise as 2**64 - 1 under another name
@@ -337,6 +370,17 @@ class TestSimulateCli:
             argv = ["verify", "--suite", str(path)]
         assert main(argv) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_manifest_config_not_an_object_names_key(self, tmp_path, capsys):
+        # the CLI unwraps a manifest as the library does
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(
+            {"artifact": "siwf", "version": "0", "config": [1, 2]}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config key 'config'" in capsys.readouterr().err
+        with pytest.raises(ConfigError) as err:
+            parse_config(path.read_text())
+        assert err.value.key == "config"
 
     def test_output_dir_below_file_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
