@@ -8,12 +8,15 @@ siwf runner on a one-component stack; the linear route normalizes its saved
 stacks after the run.  Monte Carlo runs are vectorized over fixed-size
 blocks of trajectories.  Each trajectory owns the noise substream
 (base_seed, trajectory_index).  A block returns plain data, (sums,
-samples, weights): named per-saved-time sums, per-trajectory functional
-samples and the reweighted route's importance weights at every save,
-which ``weight_paths`` reads.  Blocks run one after another in block
-order, and their sums are added with a plain left-to-right ``sum``; the
-fixed partition and the fixed addition order make every result
-reproducible bit for bit.
+samples, weights): the per-saved-time sums of the density and of each
+functional (``_save_sums``), per-trajectory functional samples and the
+reweighted route's importance weights at every save, which
+``weight_paths`` reads.  Blocks run one after another in block order, and
+their sums are added with a plain left-to-right ``sum``; the fixed
+partition and the fixed addition order make every result reproducible bit
+for bit.  One estimator, ``_estimate``, turns summed sums into every Monte
+Carlo mean and standard error: the density's and each observable's in
+``monte_carlo_mean``, and the weight martingale's in ``siwf.verify``.
 """
 
 from __future__ import annotations
@@ -367,46 +370,31 @@ class FunctionalSamples:
     equation: str
 
 
-def _density_stats(sums, n_traj):
-    """Entrywise (mean, se) of the density from the summed block sums."""
-    if "w" in sums:
-        mean = sums["wrho"] / sums["w"]
-        dev2 = (
-            sums["w2rho2"]
-            - 2.0 * np.real(mean.conj() * sums["w2rho"])
-            + np.abs(mean) ** 2 * sums["w2"]
-        )
-        return mean, np.sqrt(np.clip(dev2, 0.0, None)) / sums["w"]
-    mean = sums["rho"] / n_traj
+#: the keys of the density's and the final weights' sums, which no
+#: observable name can equal
+_DENSITY, _WEIGHT = object(), object()
+
+
+def _estimate(sums, n_traj, w=None):
+    """(mean, se) of one per-trajectory value from its summed sums.
+
+    Plain: ``sums`` = (sum v, sum |v|^2) over ``n_traj`` trajectories, the
+    sample mean with its sample-variance standard error.  Reweighted: ``sums``
+    = (sum w v, sum w^2 v, sum w^2 |v|^2) and ``w`` = (sum w, sum w^2) of the
+    final weights, the ratio estimate sum w v / sum w with its delta-method
+    standard error.
+    """
+    if w is not None:
+        wv, w2v, w2v2 = sums
+        mean = wv / w[0]
+        dev2 = w2v2 - 2.0 * np.real(mean.conj() * w2v) + np.abs(mean) ** 2 * w[1]
+        return mean, np.sqrt(np.clip(dev2, 0.0, None)) / w[0]
+    total, total2 = sums
+    mean = total / n_traj
     if n_traj > 1:
-        var = (sums["rho2"] - n_traj * np.abs(mean) ** 2) / (n_traj - 1)
-        se = np.sqrt(np.clip(var, 0.0, None) / n_traj)
-    else:
-        se = np.zeros_like(sums["rho2"])
-    return mean, se
-
-
-def _functional_stats(sums, n_traj, names):
-    """name -> (mean, se) series of each functional from the block sums."""
-    out = {}
-    for name in names:
-        if "w" in sums:
-            m = sums[f"wf:{name}"] / sums["w"]
-            dev2 = (
-                sums[f"w2f2:{name}"]
-                - 2.0 * m * sums[f"w2f:{name}"]
-                + m * m * sums["w2"]
-            )
-            s = np.sqrt(np.clip(dev2, 0.0, None)) / sums["w"]
-        else:
-            m = sums[f"f:{name}"] / n_traj
-            if n_traj > 1:
-                var = (sums[f"f2:{name}"] - n_traj * m * m) / (n_traj - 1)
-                s = np.sqrt(np.clip(var, 0.0, None) / n_traj)
-            else:
-                s = np.zeros_like(m)
-        out[name] = (m, s)
-    return out
+        var = (total2 - n_traj * np.abs(mean) ** 2) / (n_traj - 1)
+        return mean, np.sqrt(np.clip(var, 0.0, None) / n_traj)
+    return mean, np.zeros_like(total2)
 
 
 def _weights(phi, k, streams):
@@ -420,33 +408,19 @@ def _weights(phi, k, streams):
     return w
 
 
-def _save_sums(rho_b, w_final, functionals):
-    """(named sums over one saved (B, d, d) density stack, per-trajectory
-    functional values).  Plain: rho, rho2 = sum |rho|^2, f:<name>, f2:<name>.
-    Reweighted by the final weights w: wrho = sum w rho, w2rho, w2rho2 =
-    sum w^2 |rho|^2 and wf:, w2f:, w2f2: likewise."""
-    values = {
-        name: np.asarray(spec(rho_b), dtype=float) if callable(spec)
-        else np.einsum("bij,ji->b", rho_b, spec).real
-        for name, spec in functionals.items()
-    }
+def _save_sums(values, w_final):
+    """Sums over one save of each per-trajectory value in ``values`` (leading
+    axis: the block's trajectories).  Plain: (sum v, sum |v|^2).  Reweighted
+    by the final weights w: (sum w v, sum w^2 v, sum w^2 |v|^2)."""
     if w_final is None:
-        out = {"rho": rho_b.sum(axis=0),
-               "rho2": (np.abs(rho_b) ** 2).sum(axis=0)}
-        for name, v in values.items():
-            out[f"f:{name}"] = float(np.sum(v))
-            out[f"f2:{name}"] = float(np.sum(v * v))
-        return out, values
-    out = {
-        "wrho": np.einsum("b,bij->ij", w_final, rho_b),
-        "w2rho": np.einsum("b,bij->ij", w_final**2, rho_b),
-        "w2rho2": np.einsum("b,bij->ij", w_final**2, np.abs(rho_b) ** 2).real,
+        return {key: (v.sum(axis=0), (np.abs(v) ** 2).sum(axis=0))
+                for key, v in values.items()}
+    w2 = w_final**2
+    return {
+        key: tuple(np.einsum("b,b...->...", weight, x)
+                   for weight, x in ((w_final, v), (w2, v), (w2, np.abs(v) ** 2)))
+        for key, v in values.items()
     }
-    for name, v in values.items():
-        out[f"wf:{name}"] = float(np.sum(w_final * v))
-        out[f"w2f:{name}"] = float(np.sum(w_final**2 * v))
-        out[f"w2f2:{name}"] = float(np.sum(w_final**2 * v * v))
-    return out, values
 
 
 def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
@@ -454,13 +428,14 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
     """Advance one block of trajectories: (sums, samples, weights), all
     plain arrays.
 
-    ``sums`` maps each name of ``_save_sums`` to its array over the saved
-    times; the reweighted route adds the scalars w = sum w, w2 = sum w^2.
-    ``samples`` maps each functional to its (B, slots) values, slot i read
-    at save ``func_positions[i]``.  ``weights`` holds the reweighted route's
-    importance weights at every save, shape (saves, B), the final weights
-    in its last row; it is None off that route.  ``_run_blocks`` adds the
-    sums of all blocks in block order.
+    ``sums`` maps each functional's name, and ``_DENSITY`` the density, to
+    its ``_save_sums`` tuple, each entry an array over the saved times; the
+    reweighted route adds ``_WEIGHT``, the plain sums (sum w, sum w^2) of the
+    final weights.  ``samples`` maps each functional to its (B, slots)
+    values, slot i read at save ``func_positions[i]``.  ``weights`` holds
+    the reweighted route's importance weights at every save, shape
+    (saves, B), the final weights in its last row; it is None off that
+    route.  ``_run_blocks`` adds the sums of all blocks in block order.
 
     The unweighted equations reduce each saved state as it is reached.  The
     reweighted route keeps references to its saved stacks (every kernel
@@ -493,12 +468,16 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
     samples = {n: np.empty((block, len(func_positions))) for n in functionals}
 
     def reduce(j, rho_b, w_final):
-        row, values = _save_sums(rho_b, w_final, functionals)
-        rows.append(row)
+        values = {
+            name: np.asarray(spec(rho_b), dtype=float) if callable(spec)
+            else observable_series(rho_b, spec)
+            for name, spec in functionals.items()
+        }
         for slot, pos in enumerate(func_positions):
             if pos == j:
                 for name, v in values.items():
                     samples[name][:, slot] = v
+        rows.append(_save_sums({_DENSITY: rho_b, **values}, w_final))
 
     weights = None
     if weighted:
@@ -519,10 +498,10 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
 
         _integrate(state, n_steps, idx, step, save)
 
-    sums = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    sums = {key: tuple(map(np.array, zip(*(row[key] for row in rows))))
+            for key in rows[0]}
     if weighted:
-        w_final = weights[-1]
-        sums.update(w=float(np.sum(w_final)), w2=float(np.sum(w_final**2)))
+        sums.update(_save_sums({_WEIGHT: weights[-1]}, None))
     return sums, samples, weights
 
 
@@ -572,7 +551,7 @@ def _run_blocks(
     # same way on every run
     sums, samples, weights = zip(*_map_blocks(n_traj, work))
     return (
-        {key: sum(s[key] for s in sums) for key in sums[0]},
+        {key: tuple(map(sum, zip(*(s[key] for s in sums)))) for key in sums[0]},
         {name: np.concatenate([s[name] for s in samples]) for name in samples[0]},
         None if weights[0] is None else np.concatenate(weights, axis=1),
     )
@@ -605,14 +584,16 @@ def monte_carlo_mean(
         model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
         scheme, renormalize, functionals, [],
     )
-    mean, se = _density_stats(sums, n_traj)
+    w_sums = sums.pop(_WEIGHT, None)
+    mean, se = _estimate(sums.pop(_DENSITY), n_traj, w_sums)
     return MeanSeries(
         times=idx * dt,
         mean=mean,
         se=se,
         n_traj=n_traj,
         equation=equation,
-        observable_stats=_functional_stats(sums, n_traj, functionals),
+        observable_stats={name: _estimate(s, n_traj, w_sums)
+                          for name, s in sums.items()},
     )
 
 

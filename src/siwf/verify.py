@@ -30,6 +30,7 @@ from .noise import coarsen, generate_noise
 from .states import InitialDecomposition, TrajectoryRecord, decompose_density
 from .trajectories import (
     BLOCK_SIZE,
+    _estimate,
     _sample_schedule,
     gksl_solve,
     monte_carlo_mean,
@@ -340,19 +341,16 @@ def check_martingale(
 ) -> CheckReport:
     """The linear-route weight must average to 1 at every time.
 
-    Statistic: max over the grid of |mean(w_t) - 1| / (3 SE).
+    Statistic: max over the grid of |mean(w_t) - 1| / (3 SE), with the mean
+    and SE of the ``weight_paths`` samples from the library's Monte Carlo
+    estimator.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     _, w = weight_paths(
         model, dec, n_traj, base_seed, t_grid,
         dt=dt, t_final=float(np.max(t_grid)), scheme=scheme,
     )
-    mean = w.mean(axis=0)
-    se = (
-        w.std(axis=0, ddof=1) / math.sqrt(n_traj)
-        if n_traj > 1
-        else np.zeros_like(mean)
-    )
+    mean, se = _estimate((w.sum(axis=0), (w * w).sum(axis=0)), n_traj)
     stat = float(np.max(np.abs(mean - 1.0) / (3.0 * se + STAT_FLOOR)))
     detail = ", ".join(
         f"t={t:g}: {m:.5f}+-{s:.5f}" for t, m, s in zip(t_grid, mean, se)

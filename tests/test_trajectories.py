@@ -417,6 +417,26 @@ class TestMonteCarlo:
         combined = np.sqrt(se_w**2 + se_d**2)
         assert np.all(np.abs(m_w - m_d) <= 5 * combined + 1e-6)
 
+    @pytest.mark.parametrize("equation", ["siwf", "linear_weighted"])
+    def test_observable_names_stay_out_of_the_sums(self, equation):
+        # observables named like the estimator's own sums read exactly as
+        # the same matrix under a neutral name, and leave the density alone
+        model = qubit_model(1.0, 1.0, "z")
+        dec = decompose_density(np.diag([0.6, 0.4]).astype(complex))
+        kwargs = dict(dt=1e-3, t_final=0.05, save_stride=10)
+        names = ("w", "w2", "rho", "neutral")
+        got = monte_carlo_mean(model, dec, 300, 5, equation,
+                               observables={n: SZ for n in names}, **kwargs)
+        plain = monte_carlo_mean(model, dec, 300, 5, equation, **kwargs)
+        assert list(got.observable_stats) == list(names)
+        m_ref, se_ref = got.observable_stats["neutral"]
+        for name in names[:-1]:
+            m, se = got.observable_stats[name]
+            assert m.tobytes() == m_ref.tobytes()
+            assert se.tobytes() == se_ref.tobytes()
+        assert got.mean.tobytes() == plain.mean.tobytes()
+        assert got.se.tobytes() == plain.se.tobytes()
+
     def test_sample_functionals_shapes_and_purity(self):
         model = qubit_model(1.0, 1.0, "z")
         dec = decompose_density(np.diag([0.6, 0.4]).astype(complex))

@@ -229,6 +229,25 @@ class TestMartingale:
                                base_seed=99)
         assert rep.passed
 
+    def test_reads_library_estimator(self, monkeypatch):
+        # the check takes its mean and SE from the library's estimator:
+        # shifting that mean by 10 SE must fail it at the suite's qubit
+        # settings
+        import siwf.verify as ver
+        assert ver._estimate is traj._estimate
+        estimate = traj._estimate
+
+        def shifted(sums, n_traj, w=None):
+            mean, se = estimate(sums, n_traj, w)
+            return mean + 10.0 * se, se
+
+        dec, _ = qubit_mixed_dec()
+        args = (qubit_model(1.0, 1.0, "z"), dec, 512, [0.25, 0.5, 1.0])
+        kwargs = dict(base_seed=SUITE_DEFAULTS["seed"] + 61, dt=1e-3)
+        assert check_martingale(*args, **kwargs).passed
+        monkeypatch.setattr(ver, "_estimate", shifted)
+        assert not check_martingale(*args, **kwargs).passed
+
 
 class TestDecompositionInvariance:
     def test_same_state_two_decompositions(self):
@@ -381,20 +400,18 @@ class TestLinearRouteEquivalence:
     def test_reads_library_estimator(self, monkeypatch):
         # shifting the reweighted means that monte_carlo_mean reports by
         # 10 SE must fail the check at the suite's qubit settings
-        stats = traj._functional_stats
+        estimate = traj._estimate
 
-        def shifted(sums, n_traj, names):
-            out = stats(sums, n_traj, names)
-            if "w" in sums:
-                out = {k: (m + 10.0 * s, s) for k, (m, s) in out.items()}
-            return out
+        def shifted(sums, n_traj, w=None):
+            mean, se = estimate(sums, n_traj, w)
+            return (mean, se) if w is None else (mean + 10.0 * se, se)
 
         dec, _ = qubit_mixed_dec()
         kwargs = dict(base_seed=SUITE_DEFAULTS["seed"] + 71, dt=1e-3)
         model = qubit_model(1.0, 1.0, "z")
         assert check_linear_route_equivalence(
             model, dec, 512, {"tr_rho_sz": SZ}, **kwargs).passed
-        monkeypatch.setattr(traj, "_functional_stats", shifted)
+        monkeypatch.setattr(traj, "_estimate", shifted)
         assert not check_linear_route_equivalence(
             model, dec, 512, {"tr_rho_sz": SZ}, **kwargs).passed
 
