@@ -292,9 +292,7 @@ def validate_model(m: ModelSpec) -> ModelDiagnostics:
     """
     herm = hermiticity_defect(m.hamiltonian)
     diss = dissipativity_residual(m.drift_generator, m.lindblads)
-    rebuilt = -1j * hermitize(m.hamiltonian)
-    for l_op in m.lindblads:
-        rebuilt = rebuilt - 0.5 * (l_op.conj().T @ l_op)
+    rebuilt = build_gksl_generator(hermitize(m.hamiltonian), m.lindblads)
     drift = float(np.max(np.abs(m.drift_generator - rebuilt)))
     return ModelDiagnostics(
         dissipativity_residual=diss,

@@ -7,10 +7,12 @@ one-trajectory stack with the batched kernels.  The nonlinear runner is the
 siwf runner on a one-component stack; the linear route normalizes its saved
 stacks after the run.  Monte Carlo runs are vectorized over fixed-size
 blocks of trajectories.  Each trajectory owns the noise substream
-(base_seed, trajectory_index).  A block returns plain data, (sums,
-samples, weights): the per-saved-time sums of the density and of each
-functional (``_save_sums``), per-trajectory functional samples and the
-reweighted route's importance weights at every save, which
+(base_seed, trajectory_index).  A block reduces each saved state as it
+reaches it, by one save body for all four Monte Carlo routes; the reweighted
+route weighs each saved time by its own importance weight.  A block returns
+plain data, (sums, samples, weights): the per-saved-time sums of the
+density and of each functional (``_save_sums``), per-trajectory functional
+samples and the reweighted route's importance weights at every save, which
 ``weight_paths`` reads.  Blocks run one after another in block order, and
 their sums are added with a plain left-to-right ``sum``; the fixed
 partition and the fixed addition order make every result reproducible bit
@@ -360,8 +362,10 @@ class FunctionalSamples:
     """Per-trajectory functional values at selected times.
 
     ``samples[name][i, k]`` is the functional on trajectory i at
-    ``times[k]``; ``weights`` carries final-time importance weights for the
-    reweighted linear route (None otherwise).
+    ``times[k]``; ``weights`` carries the final-time (t_final) importance
+    weights for the reweighted linear route (None otherwise); a sample at an
+    earlier time is weighed by its own weight, which ``weight_paths``
+    returns.
     """
 
     times: np.ndarray
@@ -370,7 +374,7 @@ class FunctionalSamples:
     equation: str
 
 
-#: the keys of the density's and the final weights' sums, which no
+#: the keys of the density's and the importance weights' sums, which no
 #: observable name can equal
 _DENSITY, _WEIGHT = object(), object()
 
@@ -380,15 +384,17 @@ def _estimate(sums, n_traj, w=None):
 
     Plain: ``sums`` = (sum v, sum |v|^2) over ``n_traj`` trajectories, the
     sample mean with its sample-variance standard error.  Reweighted: ``sums``
-    = (sum w v, sum w^2 v, sum w^2 |v|^2) and ``w`` = (sum w, sum w^2) of the
-    final weights, the ratio estimate sum w v / sum w with its delta-method
-    standard error.
+    = (sum w v, sum w^2 v, sum w^2 |v|^2) and ``w`` = (sum w, sum w^2), each
+    over the saved times and taken with the importance weights of that time;
+    the ratio estimate sum w v / sum w with its delta-method standard error.
     """
     if w is not None:
         wv, w2v, w2v2 = sums
-        mean = wv / w[0]
-        dev2 = w2v2 - 2.0 * np.real(mean.conj() * w2v) + np.abs(mean) ** 2 * w[1]
-        return mean, np.sqrt(np.clip(dev2, 0.0, None)) / w[0]
+        # one (sum w, sum w^2) per saved time, broadcast over the value's axes
+        sw, sw2 = (np.reshape(x, np.shape(x) + (1,) * (wv.ndim - 1)) for x in w)
+        mean = wv / sw
+        dev2 = w2v2 - 2.0 * np.real(mean.conj() * w2v) + np.abs(mean) ** 2 * sw2
+        return mean, np.sqrt(np.clip(dev2, 0.0, None)) / sw
     total, total2 = sums
     mean = total / n_traj
     if n_traj > 1:
@@ -398,9 +404,8 @@ def _estimate(sums, n_traj, w=None):
 
 
 def _weights(phi, k, streams):
-    """Importance weights ||phi||^2 of a (B, N, d) block at step k; a
-    non-finite block raises, an extinct trajectory too, naming its stream."""
-    _ensure_finite(phi, k)
+    """Importance weights ||phi||^2 of a finite (B, N, d) block at step k; an
+    extinct trajectory raises, naming the block's lightest stream."""
     w = np.einsum("bni,bni->b", phi.conj(), phi).real
     if np.any(w < EXTINCTION_THRESHOLD):
         bad = int(np.argmin(w))
@@ -408,18 +413,20 @@ def _weights(phi, k, streams):
     return w
 
 
-def _save_sums(values, w_final):
+def _save_sums(values, w):
     """Sums over one save of each per-trajectory value in ``values`` (leading
     axis: the block's trajectories).  Plain: (sum v, sum |v|^2).  Reweighted
-    by the final weights w: (sum w v, sum w^2 v, sum w^2 |v|^2)."""
-    if w_final is None:
+    by the save's importance weights w: (sum w v, sum w^2 v, sum w^2 |v|^2),
+    and (sum w, sum w^2) under ``_WEIGHT``."""
+    if w is None:
         return {key: (v.sum(axis=0), (np.abs(v) ** 2).sum(axis=0))
                 for key, v in values.items()}
-    w2 = w_final**2
+    w2 = w**2
     return {
-        key: tuple(np.einsum("b,b...->...", weight, x)
-                   for weight, x in ((w_final, v), (w2, v), (w2, np.abs(v) ** 2)))
-        for key, v in values.items()
+        **{key: tuple(np.einsum("b,b...->...", weight, x)
+                      for weight, x in ((w, v), (w2, v), (w2, np.abs(v) ** 2)))
+           for key, v in values.items()},
+        _WEIGHT: (w.sum(), w2.sum()),
     }
 
 
@@ -430,18 +437,20 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
 
     ``sums`` maps each functional's name, and ``_DENSITY`` the density, to
     its ``_save_sums`` tuple, each entry an array over the saved times; the
-    reweighted route adds ``_WEIGHT``, the plain sums (sum w, sum w^2) of the
-    final weights.  ``samples`` maps each functional to its (B, slots)
-    values, slot i read at save ``func_positions[i]``.  ``weights`` holds
-    the reweighted route's importance weights at every save, shape
-    (saves, B), the final weights in its last row; it is None off that
-    route.  ``_run_blocks`` adds the sums of all blocks in block order.
+    reweighted route adds ``_WEIGHT``, the sums (sum w, sum w^2) of each
+    save's importance weights.  ``samples`` maps each functional to its
+    (B, slots) values, slot i read at save ``func_positions[i]``.
+    ``weights`` holds the reweighted route's importance weights at every
+    save, shape (saves, B), the final weights in its last row; it is None
+    off that route.  ``_run_blocks`` adds the sums of all blocks in block
+    order.
 
-    The unweighted equations reduce each saved state as it is reached.  The
-    reweighted route keeps references to its saved stacks (every kernel
-    returns a fresh array), weighs them in save order, then reduces them by
-    the final weights.  A non-finite or extinct trajectory raises at the
-    first saved step that holds one; an extinct one names the block's
+    Every route reduces each saved state as it is reached, in one pass.  The
+    reweighted route weighs its stack phi at each save, w = ||phi||^2, and
+    reduces rho_hat = phi phi^dagger / w by that same w: the weight is a
+    martingale, so the mean at time t needs only the weight at t and does
+    not depend on ``t_final``.  A non-finite or extinct trajectory raises at
+    the first saved step that holds one; an extinct one names the block's
     lightest trajectory at that step.
     """
     block = len(streams)
@@ -466,8 +475,16 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
 
     rows = []
     samples = {n: np.empty((block, len(func_positions))) for n in functionals}
+    weights = np.empty((idx.size, block)) if weighted else None
 
-    def reduce(j, rho_b, w_final):
+    def save(j, k, s):
+        _ensure_finite(s, k)
+        w = None
+        rho_b = (s if equation == "belavkin"
+                 else np.einsum("bni,bnj->bij", s, s.conj()))
+        if weighted:
+            w = weights[j] = _weights(s, k, streams)
+            rho_b = rho_b / w[:, None, None]
         values = {
             name: np.asarray(spec(rho_b), dtype=float) if callable(spec)
             else observable_series(rho_b, spec)
@@ -477,31 +494,11 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
             if pos == j:
                 for name, v in values.items():
                     samples[name][:, slot] = v
-        rows.append(_save_sums({_DENSITY: rho_b, **values}, w_final))
+        rows.append(_save_sums({_DENSITY: rho_b, **values}, w))
 
-    weights = None
-    if weighted:
-        saved = []
-        _integrate(state, n_steps, idx, step, lambda j, k, s: saved.append(s))
-        weights = np.array([_weights(phi, k, streams)
-                            for k, phi in zip(idx.tolist(), saved)])
-        for j, phi in enumerate(saved):
-            rho_b = np.einsum("bni,bnj->bij", phi, phi.conj())
-            reduce(j, rho_b / weights[j][:, None, None], weights[-1])
-    else:
-
-        def save(j, k, s):
-            _ensure_finite(s, k)
-            if equation != "belavkin":
-                s = np.einsum("bni,bnj->bij", s, s.conj())
-            reduce(j, s, None)
-
-        _integrate(state, n_steps, idx, step, save)
-
+    _integrate(state, n_steps, idx, step, save)
     sums = {key: tuple(map(np.array, zip(*(row[key] for row in rows))))
             for key in rows[0]}
-    if weighted:
-        sums.update(_save_sums({_WEIGHT: weights[-1]}, None))
     return sums, samples, weights
 
 
@@ -574,7 +571,7 @@ def monte_carlo_mean(
 
     ``siwf``/``nonlinear``/``belavkin`` average rho_t directly; the
     ``linear_weighted`` route averages the normalized linear-route state
-    weighted by the final-time importance weight.  Per-entry standard
+    weighted by the importance weight at each saved time.  Per-entry standard
     errors accompany the mean; named observables get (mean, se) series too.
     """
     n_steps = resolve_steps(dt, t_final)

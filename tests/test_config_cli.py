@@ -159,6 +159,16 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(manifest))
         assert cfg.seed == 9
 
+    def test_doubly_nested_manifest_names_config(self):
+        inner = {"artifact": "siwf", "version": "0",
+                 "config": json.loads(cfg_text(seed=3))}
+        manifest = {"artifact": "siwf", "version": "0", "config": inner}
+        for parse in (lambda: parse_config(json.dumps(manifest)),
+                      lambda: parse_config_dict(manifest)):
+            with pytest.raises(ConfigError) as err:
+                parse()
+            assert err.value.key == "config"
+
 
 UNIT = [[1.0, 0.0], [0.0, 0.0]]
 H_X = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
@@ -381,6 +391,21 @@ class TestSimulateCli:
         with pytest.raises(ConfigError) as err:
             parse_config(path.read_text())
         assert err.value.key == "config"
+
+    def test_doubly_nested_manifest_names_config(self, tmp_path, capsys):
+        # a manifest inside a manifest is refused before the flags apply,
+        # so nothing runs under the inner seed and output_dir
+        inner = json.loads(write_config(
+            tmp_path, output_dir=str(tmp_path / "o1")).read_text())
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(
+            {"artifact": "siwf", "version": "0",
+             "config": {"artifact": "siwf", "version": "0", "config": inner}}))
+        assert main(["simulate", "--config", str(path), "--seed", "99",
+                     "--output-dir", str(tmp_path / "o2")]) == 2
+        assert "config key 'config'" in capsys.readouterr().err
+        assert not (tmp_path / "o1").exists()
+        assert not (tmp_path / "o2").exists()
 
     def test_output_dir_below_file_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -18,7 +18,8 @@ from siwf.model import (
 )
 from siwf.noise import NoisePath, generate_noise, generate_noise_block
 from siwf.recordio import record_to_csv
-from siwf.states import InitialDecomposition, decompose_density
+from siwf.states import (InitialDecomposition, decompose_density,
+                         init_ensemble)
 from siwf.steppers import StepContext, linear_step_batch
 from siwf.trajectories import (
     BLOCK_SIZE,
@@ -436,6 +437,56 @@ class TestMonteCarlo:
             assert se.tobytes() == se_ref.tobytes()
         assert got.mean.tobytes() == plain.mean.tobytes()
         assert got.se.tobytes() == plain.se.tobytes()
+
+    def test_weighted_mean_weighs_each_save_by_its_own_weight(self):
+        # a hand loop over the same two blocks (256 + 44) and substreams:
+        # at each save, sum sigma = phi phi^dagger and w = ||phi||^2
+        model = qubit_model(1.0, 1.0, "z")
+        dec = decompose_density(np.diag([0.6, 0.4]).astype(complex))
+        dt, n_steps, stride = 1e-3, 20, 5
+        ctx = StepContext(model, "euler_maruyama", dt, renormalize=False)
+        saves = range(0, n_steps + 1, stride)
+        sigma = np.zeros((len(saves), 2, 2), dtype=complex)
+        w = np.zeros(len(saves))
+        psi0 = init_ensemble(dec).components
+        for start in (0, BLOCK_SIZE):
+            streams = range(start, min(start + BLOCK_SIZE, 300))
+            dw = generate_noise_block(5, 1, dt, n_steps, streams)
+            phi = np.broadcast_to(psi0, (len(streams),) + psi0.shape).copy()
+            for k in range(n_steps + 1):
+                if k % stride == 0:
+                    sigma[k // stride] += np.einsum("bni,bnj->ij", phi,
+                                                    phi.conj())
+                    w[k // stride] += np.sum(np.abs(phi) ** 2)
+                if k < n_steps:
+                    phi = linear_step_batch(ctx, phi, dw[:, k, :])
+        series = monte_carlo_mean(model, dec, 300, 5, "linear_weighted",
+                                  dt=dt, t_final=n_steps * dt,
+                                  save_stride=stride)
+        assert np.max(np.abs(series.mean - sigma / w[:, None, None])) <= 1e-12
+
+    @pytest.mark.parametrize("equation", MC_EQUATIONS)
+    def test_rows_do_not_depend_on_t_final(self, equation):
+        # the saved rows up to t = 0.02 are the same bits whether the run
+        # stops there or goes on to 0.04
+        model = qubit_model(1.0, 1.0, "z")
+        rho0 = (np.diag([0.0, 1.0]) if equation == "nonlinear"
+                else np.diag([0.6, 0.4]))
+        dec = decompose_density(rho0.astype(complex))
+        short, long = (
+            monte_carlo_mean(model, dec, 300, 5, equation, dt=1e-3,
+                             t_final=t_final, save_stride=5,
+                             observables={"sz": SZ})
+            for t_final in (0.02, 0.04)
+        )
+        rows = len(short.times)
+        assert rows == 5
+        assert np.array_equal(short.times, long.times[:rows])
+        assert short.mean.tobytes() == long.mean[:rows].tobytes()
+        assert short.se.tobytes() == long.se[:rows].tobytes()
+        for got, full in zip(short.observable_stats["sz"],
+                             long.observable_stats["sz"]):
+            assert got.tobytes() == full[:rows].tobytes()
 
     def test_sample_functionals_shapes_and_purity(self):
         model = qubit_model(1.0, 1.0, "z")
