@@ -373,23 +373,17 @@ class SimConfig:
         }
 
 
-#: the top-level keys that make a document a manifest
-_MANIFEST_KEYS = {"artifact", "version", "config"}
-
-
 def unwrap_manifest(doc) -> dict:
-    """The config object of a decoded config document or manifest: a
-    manifest is accepted wherever a config is, but not a manifest nested in
-    one."""
+    """The config object of a decoded config document or of a manifest
+    around one; a manifest around another manifest is refused."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    if _MANIFEST_KEYS <= doc.keys():
+    manifest = {"artifact", "version", "config"}
+    if manifest <= doc.keys():
         doc = doc["config"]
-        if not isinstance(doc, dict):
-            raise ConfigError("config", "manifest 'config' must be an object")
-        if _MANIFEST_KEYS <= doc.keys():
-            raise ConfigError("config", "manifest 'config' must be a config, "
-                              "not another manifest")
+        if not isinstance(doc, dict) or manifest <= doc.keys():
+            raise ConfigError("config",
+                              "manifest 'config' must be a config object")
     return doc
 
 

@@ -7,9 +7,9 @@ one-trajectory stack with the batched kernels.  The nonlinear runner is the
 siwf runner on a one-component stack; the linear route normalizes its saved
 stacks after the run.  Monte Carlo runs are vectorized over fixed-size
 blocks of trajectories.  Each trajectory owns the noise substream
-(base_seed, trajectory_index).  A block reduces each saved state as it
-reaches it, by one save body for all four Monte Carlo routes; the reweighted
-route weighs each saved time by its own importance weight.  A block returns
+(base_seed, trajectory_index).  One save body serves all four Monte Carlo
+routes: it reduces each saved state as the block reaches it, the
+reweighted route's by the importance weight of that time.  A block returns
 plain data, (sums, samples, weights): the per-saved-time sums of the
 density and of each functional (``_save_sums``), per-trajectory functional
 samples and the reweighted route's importance weights at every save, which
@@ -362,10 +362,8 @@ class FunctionalSamples:
     """Per-trajectory functional values at selected times.
 
     ``samples[name][i, k]`` is the functional on trajectory i at
-    ``times[k]``; ``weights`` carries the final-time (t_final) importance
-    weights for the reweighted linear route (None otherwise); a sample at an
-    earlier time is weighed by its own weight, which ``weight_paths``
-    returns.
+    ``times[k]``; ``weights`` carries the t_final importance weights for
+    the reweighted linear route (None otherwise), not those at ``times``.
     """
 
     times: np.ndarray
