@@ -61,9 +61,15 @@ def _load_config(path: str, overrides: dict) -> SimConfig:
     return parse_config_dict(doc)
 
 
+#: characters encoded per write, so a record's text is never copied whole
+_WRITE_CHUNK = 1 << 20
+
+
 def _write(path, text: str) -> None:
     try:
-        Path(path).write_bytes(text.encode())
+        with open(path, "wb") as out:
+            for start in range(0, len(text), _WRITE_CHUNK):
+                out.write(text[start:start + _WRITE_CHUNK].encode())
     except OSError as exc:
         raise SiwfError(f"cannot write '{path}': {exc}") from exc
 

@@ -136,10 +136,11 @@ def _run_stack(model, noise, save_stride, stack, advance):
 
     ``advance(k, state, dw)`` returns state k + 1 and the signed record drift
     +-2 Re tr(L_l rho) of state k.  The driving series sums the increments;
-    the other series adds ``drift * dt`` after each increment.  Every saved
-    state must be finite.  A ``SiwfError`` raised by ``advance`` carries its
-    own step and propagates as it is; any other exception becomes
-    ``StepFailureError(k, ...)``.
+    the other series adds ``drift * dt`` after each increment.  Every state,
+    saved or not, must be finite, so a non-finite state is reported at its
+    own step whatever the ``save_stride``.  A ``SiwfError`` raised by
+    ``advance`` carries its own step and propagates as it is; any other
+    exception becomes ``StepFailureError(k, ...)``.
     """
     _check_noise(model, noise)
     idx = save_indices(noise.n_steps, save_stride)
@@ -148,10 +149,10 @@ def _run_stack(model, noise, save_stride, stack, advance):
     out = np.empty((idx.size,) + stack.shape[1:], dtype=np.complex128)
 
     def save(j, k, s):
-        _ensure_finite(s, k)
         out[j] = s[0]
 
     def step(k, s):
+        _ensure_finite(s, k)
         try:
             s, drift[k] = advance(k, s, dws[k])
         except SiwfError:
@@ -160,7 +161,8 @@ def _run_stack(model, noise, save_stride, stack, advance):
             raise StepFailureError(k, exc) from exc
         return s
 
-    _integrate(stack, noise.n_steps, idx, step, save)
+    last = _integrate(stack, noise.n_steps, idx, step, save)
+    _ensure_finite(last, noise.n_steps)
     # both sums run step by step (a leading zero row, then increment and
     # drift interleaved), exactly as a running total would round them
     seq = np.zeros((2 * noise.n_steps + 1, model.n_channels))
@@ -242,11 +244,9 @@ def run_linear_route(
     ctx = StepContext(model, scheme, noise.dt, renormalize=False)
 
     def advance(k, phi, db):
-        # state k is weighed before its step, so an extinct or diverged
-        # state is reported at its own step, saved or not
+        # state k is weighed before its step, so an extinct state is
+        # reported at its own step, saved or not
         weight = float(np.sum(np.abs(phi) ** 2))
-        if not np.isfinite(weight):
-            _ensure_finite(phi, k)
         if weight < EXTINCTION_THRESHOLD:
             raise TrajectoryExtinctError(weight, k, noise.stream)
         rho_hat = np.einsum("ni,nj->ij", phi[0], phi[0].conj()) / weight

@@ -314,6 +314,28 @@ class TestFailurePropagation:
             run_belavkin_trajectory(model, rho0, noise)
         assert 0 < err.value.step <= 1000
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("run", [
+        lambda m, noise, s: run_siwf_trajectory(
+            m, mixture([0.6, 0.4], [E1, E2]), noise, save_stride=s),
+        lambda m, noise, s: run_nonlinear_trajectory(
+            m, E1, noise, save_stride=s),
+        lambda m, noise, s: run_belavkin_trajectory(
+            m, np.diag([0.6, 0.4]).astype(complex), noise, save_stride=s),
+    ], ids=["siwf", "nonlinear", "belavkin"])
+    def test_nan_increment_reports_its_step(self, run, stride):
+        # a NaN increment at step 40 makes state 41 non-finite, which is
+        # not a saved state at stride 7
+        model = make_model(np.zeros((2, 2)), [SIGMA_Z])
+        inc = generate_noise(8, 1, 1e-3, 100).increments.copy()
+        inc[40, 0] = np.nan
+        noise = NoisePath(seed=8, n_channels=1, dt=1e-3, n_steps=100,
+                          increments=inc)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(StepFailureError) as err:
+            run(model, noise, stride)
+        assert err.value.step == 41
+
     def test_channel_mismatch_rejected(self):
         from siwf.errors import DimensionMismatchError
         model = qubit_model(1.0, 1.0, "z")
