@@ -36,7 +36,7 @@ def _record_json(doc: dict) -> str:
     times.  A stack is encoded one saved time at a time, complex entries as
     [re, im] pairs, and every piece is joined once at the end, so only one
     saved time's nested lists exist at once: the peak is about twice the
-    text, where one nested list of the whole record took about five times.
+    text, against about five times for one nested list of the whole record.
     """
     parts = []
     for key in sorted(doc):
