@@ -40,7 +40,6 @@ from .observables import KNOWN_OBSERVABLES, resolve_observable
 from .states import (
     InitialDecomposition,
     TrajectoryRecord,
-    WaveEnsemble,
     assemble_density,
     decompose_density,
     init_ensemble,

@@ -38,6 +38,7 @@ from .recordio import (
 from .steppers import SCHEMES
 from .trajectories import (
     monte_carlo_mean,
+    off_grid,
     resolve_steps,
     run_belavkin_trajectory,
     run_gksl_trajectory,
@@ -185,8 +186,8 @@ def cmd_compare(args) -> int:
     dt_fine = min(cfg_a.dt, cfg_b.dt)
     ratio_a = round(cfg_a.dt / dt_fine)
     ratio_b = round(cfg_b.dt / dt_fine)
-    for tag, cfg, ratio in (("a", cfg_a, ratio_a), ("b", cfg_b, ratio_b)):
-        if abs(cfg.dt - ratio * dt_fine) > 1e-12 * dt_fine:
+    for tag, cfg in (("a", cfg_a), ("b", cfg_b)):
+        if off_grid(cfg.dt, dt_fine):
             raise SiwfError(
                 f"config {tag} dt {cfg.dt} is not an integer multiple of the "
                 f"finer dt {dt_fine}; paths cannot be shared"

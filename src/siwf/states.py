@@ -1,4 +1,5 @@
-"""Mixed-state representations: decompositions, wave ensembles, records."""
+"""Mixed-state representations: decompositions, wave-function stacks,
+records."""
 
 from __future__ import annotations
 
@@ -11,51 +12,7 @@ from .errors import (
     NormViolationError,
     ReconstructionError,
 )
-from .linalg import NORM_TOL, assert_density_matrix, frozen, hermitian_eig
-
-
-@dataclass(frozen=True)
-class WaveEnsemble:
-    """Stack of interacting wave functions representing a mixed state.
-
-    ``components[n]`` is the n-th (generally unnormalized) member; the stack
-    carries total weight sum_n ||psi_n||^2 = 1, and the represented state is
-    rho = sum_n |psi_n><psi_n|.
-    """
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        if self.components.ndim != 2:
-            raise DimensionMismatchError(
-                f"ensemble components must be a (N, d) stack, got shape "
-                f"{self.components.shape}"
-            )
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "WaveEnsemble":
-        arr = np.asarray(vectors, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        return cls(components=frozen(arr))
-
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[1]
-
-    def total_norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.components) ** 2))
-
-    def validate(self) -> None:
-        drift = abs(self.total_norm_sq() - 1.0)
-        if drift > NORM_TOL:
-            raise NormViolationError(
-                "ensemble total weight sum ||psi_n||^2 differs from 1", drift
-            )
+from .linalg import assert_density_matrix, frozen, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -136,15 +93,21 @@ def decompose_density(
     raise ValueError(f"unknown decomposition mode '{mode}'")
 
 
-def init_ensemble(dec: InitialDecomposition) -> WaveEnsemble:
-    """Initial stack psi_n = sqrt(p_n) phi_n; total weight is exactly 1."""
-    psi = np.sqrt(dec.weights)[:, None] * dec.vectors
-    return WaveEnsemble(components=frozen(psi))
+def init_ensemble(dec: InitialDecomposition) -> np.ndarray:
+    """Initial read-only (N, d) stack psi_n = sqrt(p_n) phi_n; its total
+    weight sum_n ||psi_n||^2 is exactly 1."""
+    return frozen(np.sqrt(dec.weights)[:, None] * dec.vectors)
 
 
-def assemble_density(ens: WaveEnsemble) -> np.ndarray:
-    """The represented state rho = sum_n |psi_n><psi_n|, validated."""
-    rho = np.einsum("ni,nj->ij", ens.components, ens.components.conj())
+def assemble_density(psi: np.ndarray) -> np.ndarray:
+    """The state rho = sum_n |psi_n><psi_n| of an (N, d) stack, validated;
+    its trace is the stack's total weight sum_n ||psi_n||^2."""
+    psi = np.asarray(psi)
+    if psi.ndim != 2:
+        raise DimensionMismatchError(
+            f"ensemble must be an (N, d) stack, got shape {psi.shape}"
+        )
+    rho = np.einsum("ni,nj->ij", psi, psi.conj())
     assert_density_matrix(rho)
     return rho
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DimensionMismatchError, NormViolationError, DensityMatrixError
 from .linalg import NORM_TOL, TRACE_TOL, as_state, expm, frozen, hermitize
 from .model import ModelSpec
-from .states import WaveEnsemble
 
 SCHEMES = ("euler_maruyama", "exponential_em")
 
@@ -225,23 +224,21 @@ def step_nonlinear_sse(ctx: StepContext, phi_hat, dw) -> np.ndarray:
     return siwf_step_batch(ctx, v[None, None, :], dwv[None, :])[0][0, 0]
 
 
-def step_siwf(ctx: StepContext, ensemble: WaveEnsemble, dw) -> WaveEnsemble:
-    """Advance a wave-function ensemble by one step."""
-    if ensemble.n_components == 0:
-        raise DimensionMismatchError("ensemble is empty")
-    if ensemble.dim != ctx.model.dim:
+def step_siwf(ctx: StepContext, psi, dw) -> np.ndarray:
+    """Advance an (N, d) wave-function stack by one step."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim != 2 or psi.shape[0] == 0 or psi.shape[1] != ctx.model.dim:
         raise DimensionMismatchError(
-            f"ensemble dimension {ensemble.dim} does not match model dim "
-            f"{ctx.model.dim}"
+            f"ensemble must be a non-empty (N, {ctx.model.dim}) stack, got "
+            f"shape {psi.shape}"
         )
-    drift = abs(ensemble.total_norm_sq() - 1.0)
+    drift = abs(float(np.sum(np.abs(psi) ** 2)) - 1.0)
     if drift > 10 * NORM_TOL:
         raise NormViolationError(
             "ensemble weight drifted too far from 1 to step safely", drift
         )
     dwv = _check_dw(ctx, dw)
-    new, _, _ = siwf_step_batch(ctx, ensemble.components[None], dwv[None, :])
-    return WaveEnsemble(components=frozen(new[0]))
+    return siwf_step_batch(ctx, psi[None], dwv[None, :])[0][0]
 
 
 def step_belavkin(ctx: StepContext, rho, dw) -> np.ndarray:

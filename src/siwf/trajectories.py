@@ -10,10 +10,10 @@ blocks of trajectories.  Each trajectory owns the noise substream
 (base_seed, trajectory_index).  One save body serves all four Monte Carlo
 routes: it reduces each saved state as the block reaches it, the
 reweighted route's by the importance weight of that time.  A block returns
-plain data, (sums, samples, weights): the per-saved-time sums of the
-density and of each functional (``_save_sums``), per-trajectory functional
-samples and the reweighted route's importance weights at every save, which
-``weight_paths`` reads.  Blocks run one after another in block order, and
+plain data, (sums, samples): the per-saved-time sums of the density and of
+each functional (``_save_sums``), and per-trajectory samples of each
+functional at the requested times, the reweighted route's importance
+weight among them.  Blocks run one after another in block order, and
 their sums are added with a plain left-to-right ``sum``; the fixed
 partition and the fixed addition order make every result reproducible bit
 for bit.  One estimator, ``_estimate``, turns summed sums into every Monte
@@ -206,7 +206,7 @@ def run_siwf_trajectory(
     """
     ctx = StepContext(model, scheme, noise.dt, renormalize)
     return _run_ensemble(ctx, noise, save_stride, observables,
-                         init_ensemble(dec).components[None])
+                         init_ensemble(dec)[None])
 
 
 def run_nonlinear_trajectory(
@@ -259,8 +259,7 @@ def run_linear_route(
         return linear_step_batch(ctx, phi, db[None, :]), -2.0 * tr
 
     idx, phi, b_out, w_out = _run_stack(
-        model, noise, save_stride, init_ensemble(dec).components[None],
-        advance,
+        model, noise, save_stride, init_ensemble(dec)[None], advance,
     )
     # the last state is the one advance never weighed
     weights = np.sum(np.abs(phi) ** 2, axis=(1, 2))
@@ -365,8 +364,8 @@ class FunctionalSamples:
     """Per-trajectory functional values at selected times.
 
     ``samples[name][i, k]`` is the functional on trajectory i at
-    ``times[k]``; ``weights`` carries the t_final importance weights for
-    the reweighted linear route (None otherwise), not those at ``times``.
+    ``times[k]``; on the reweighted linear route ``weights[i, k]`` is the
+    importance weight of trajectory i at ``times[k]`` (None otherwise).
     """
 
     times: np.ndarray
@@ -375,8 +374,8 @@ class FunctionalSamples:
     equation: str
 
 
-#: the keys of the density's and the importance weights' sums, which no
-#: observable name can equal
+#: the keys of the density's sums and of the importance weights' sums and
+#: samples, which no observable name can equal
 _DENSITY, _WEIGHT = object(), object()
 
 
@@ -433,18 +432,15 @@ def _save_sums(values, w):
 
 def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
                      functionals, func_positions):
-    """Advance one block of trajectories: (sums, samples, weights), all
-    plain arrays.
+    """Advance one block of trajectories: (sums, samples), all plain arrays.
 
     ``sums`` maps each functional's name, and ``_DENSITY`` the density, to
     its ``_save_sums`` tuple, each entry an array over the saved times; the
     reweighted route adds ``_WEIGHT``, the sums (sum w, sum w^2) of each
-    save's importance weights.  ``samples`` maps each functional to its
+    save's importance weights.  ``samples`` maps each functional, and on
+    the reweighted route ``_WEIGHT`` the importance weight, to its
     (B, slots) values, slot i read at save ``func_positions[i]``.
-    ``weights`` holds the reweighted route's importance weights at every
-    save, shape (saves, B), the final weights in its last row; it is None
-    off that route.  ``_run_blocks`` adds the sums of all blocks in block
-    order.
+    ``_run_blocks`` adds the sums of all blocks in block order.
 
     Every route reduces each saved state as it is reached, in one pass.  The
     reweighted route weighs its stack phi at each save, w = ||phi||^2, and
@@ -463,7 +459,7 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
         state = np.broadcast_to(dec.density(), (block, dim, dim)).copy()
         step = lambda k, s: belavkin_step_batch(ctx, s, dw[:, k, :])[0]
     else:
-        psi0 = init_ensemble(dec).components
+        psi0 = init_ensemble(dec)
         state = np.broadcast_to(psi0, (block,) + psi0.shape).copy()
         if equation == "nonlinear" and state.shape[1] != 1:
             raise SiwfError(
@@ -475,8 +471,8 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
             step = lambda k, s: siwf_step_batch(ctx, s, dw[:, k, :])[0]
 
     rows = []
-    samples = {n: np.empty((block, len(func_positions))) for n in functionals}
-    weights = np.empty((idx.size, block)) if weighted else None
+    keys = [*functionals, _WEIGHT] if weighted else list(functionals)
+    samples = {key: np.empty((block, len(func_positions))) for key in keys}
 
     def save(j, k, s):
         _ensure_finite(s, k)
@@ -484,23 +480,24 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
         rho_b = (s if equation == "belavkin"
                  else np.einsum("bni,bnj->bij", s, s.conj()))
         if weighted:
-            w = weights[j] = _weights(s, k, streams)
+            w = _weights(s, k, streams)
             rho_b = rho_b / w[:, None, None]
         values = {
             name: np.asarray(spec(rho_b), dtype=float) if callable(spec)
             else observable_series(rho_b, spec)
             for name, spec in functionals.items()
         }
+        readouts = values if w is None else {**values, _WEIGHT: w}
         for slot, pos in enumerate(func_positions):
             if pos == j:
-                for name, v in values.items():
-                    samples[name][:, slot] = v
+                for key, v in readouts.items():
+                    samples[key][:, slot] = v
         rows.append(_save_sums({_DENSITY: rho_b, **values}, w))
 
     _integrate(state, n_steps, idx, step, save)
     sums = {key: tuple(map(np.array, zip(*(row[key] for row in rows))))
             for key in rows[0]}
-    return sums, samples, weights
+    return sums, samples
 
 
 def _map_blocks(n_traj, work):
@@ -547,11 +544,10 @@ def _run_blocks(
 
     # the plain left-to-right sums over the block-ordered results round the
     # same way on every run
-    sums, samples, weights = zip(*_map_blocks(n_traj, work))
+    sums, samples = zip(*_map_blocks(n_traj, work))
     return (
         {key: tuple(map(sum, zip(*(s[key] for s in sums)))) for key in sums[0]},
-        {name: np.concatenate([s[name] for s in samples]) for name in samples[0]},
-        None if weights[0] is None else np.concatenate(weights, axis=1),
+        {key: np.concatenate([s[key] for s in samples]) for key in samples[0]},
     )
 
 
@@ -578,7 +574,7 @@ def monte_carlo_mean(
     n_steps = resolve_steps(dt, t_final)
     idx = save_indices(n_steps, save_stride)
     functionals = dict(observables or {})
-    sums, _, _ = _run_blocks(
+    sums, _ = _run_blocks(
         model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
         scheme, renormalize, functionals, [],
     )
@@ -612,18 +608,20 @@ def sample_functionals(
 
     ``functionals`` maps names to matrices A, or to callables on a
     (B, d, d) stack of densities (for nonlinear readouts such as purity).
-    Sample times must be on the step grid.
+    Sample times must be on the step grid.  The reweighted linear route
+    samples each trajectory's importance weight at the same times.
     """
     n_steps = resolve_steps(dt, t_final)
     req, idx, func_positions = _sample_schedule(sample_times, dt, n_steps)
-    _, samples, weights = _run_blocks(
+    _, samples = _run_blocks(
         model, dec, n_traj, base_seed, equation, dt, n_steps, idx,
         scheme, renormalize, dict(functionals), func_positions,
     )
+    weights = samples.pop(_WEIGHT, None)
     return FunctionalSamples(
         times=np.asarray(req, dtype=float) * dt,
         samples=samples,
-        weights=None if weights is None else weights[-1],
+        weights=weights,
         equation=equation,
     )
 
@@ -640,15 +638,13 @@ def weight_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trajectory linear-route importance weights w_t at selected times.
 
-    Returns (times, weights) with weights of shape (n_traj, len(times)).
-    The weights are those the reweighted Monte Carlo route computes, so a
+    Returns (times, weights) with weights of shape (n_traj, len(times)):
+    those of ``sample_functionals`` on the reweighted route, so a
     trajectory whose weight falls below ``EXTINCTION_THRESHOLD`` at a
     sample time or at t_final raises ``TrajectoryExtinctError``.
     """
-    n_steps = resolve_steps(dt, t_final)
-    req, idx, pos = _sample_schedule(sample_times, dt, n_steps)
-    _, _, weights = _run_blocks(
-        model, dec, n_traj, base_seed, "linear_weighted", dt, n_steps, idx,
-        scheme, False, {}, [],
+    run = sample_functionals(
+        model, dec, n_traj, base_seed, "linear_weighted", {}, sample_times,
+        dt=dt, t_final=t_final, scheme=scheme, renormalize=False,
     )
-    return np.asarray(req, dtype=float) * dt, weights[pos].T
+    return run.times, run.weights

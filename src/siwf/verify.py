@@ -350,7 +350,9 @@ def check_martingale(
         model, dec, n_traj, base_seed, t_grid,
         dt=dt, t_final=float(np.max(t_grid)), scheme=scheme,
     )
-    mean, se = _estimate((w.sum(axis=0), (w * w).sum(axis=0)), n_traj)
+    # one contiguous row per time: numpy sums along a row pairwise
+    w = np.ascontiguousarray(w.T)
+    mean, se = _estimate((w.sum(axis=1), (w * w).sum(axis=1)), n_traj)
     stat = float(np.max(np.abs(mean - 1.0) / (3.0 * se + STAT_FLOOR)))
     detail = ", ".join(
         f"t={t:g}: {m:.5f}+-{s:.5f}" for t, m, s in zip(t_grid, mean, se)

@@ -511,6 +511,25 @@ class TestCompareCli:
         assert report["axes"] == ["equation"]
         assert report["max_density_difference"] < 0.05
 
+    def test_dt_multiple_uses_the_simulate_grid_rule(self, tmp_path, capsys):
+        # 4 dt within the relative 1e-9 that simulate accepts on its grid
+        a = write_config(tmp_path, "a.json", dt=0.00400000000004, t_final=0.2,
+                         output_dir=str(tmp_path / "oa"))
+        b = write_config(tmp_path, "b.json", dt=0.001, t_final=0.2,
+                         output_dir=str(tmp_path / "ob"))
+        assert main(["simulate", "--config", str(a)]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--a", str(a), "--b", str(b)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["axes"] == ["dt"]
+
+    def test_dt_not_a_multiple_rejected(self, tmp_path, capsys):
+        a = write_config(tmp_path, "a.json", dt=0.0025, t_final=0.1)
+        b = write_config(tmp_path, "b.json", dt=0.001, t_final=0.1)
+        assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+        assert "not an integer multiple of the finer dt 0.001" in (
+            capsys.readouterr().err)
+
     def test_t_final_off_the_coarse_grid_rejected(self, tmp_path, capsys):
         a = write_config(tmp_path, "a.json", dt=0.02, t_final=0.05)
         b = write_config(tmp_path, "b.json", dt=0.01, t_final=0.05)

@@ -1,10 +1,10 @@
 """Every invariant guard, just inside and just outside its threshold.
 
-The thresholds are fixed: 1e-10 on Hermiticity, 1e-8 on the trace, the
-most negative eigenvalue and the ensemble weight of a state, and ten times
-that per step (a state may carry one step's rounding into the next).  Each
-case violates its invariant by 0.9 and 1.1 times the threshold, so moving a
-threshold by more than 10 % fails here.
+The thresholds are fixed: 1e-10 on Hermiticity, 1e-8 on the trace and the
+most negative eigenvalue of a state (a stack's total weight is the trace of
+its state), and ten times that per step (a state may carry one step's
+rounding into the next).  Each case violates its invariant by 0.9 and 1.1
+times the threshold, so moving a threshold by more than 10 % fails here.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from siwf.model import (
     make_model,
     validate_model,
 )
-from siwf.states import WaveEnsemble, assemble_density
+from siwf.states import assemble_density
 from siwf.steppers import StepContext, step_belavkin, step_nonlinear_sse, step_siwf
 
 E1 = np.array([1, 0], dtype=complex)
@@ -81,20 +81,16 @@ class TestDensityMatrix:
         guarded(lambda: assert_density_matrix(rho), DensityMatrixError, passes)
 
     def test_assemble_density_always_checks(self, factor, passes):
-        ens = WaveEnsemble.from_vectors(np.sqrt(1 + factor * 1e-8) * E1[None])
-        guarded(lambda: assemble_density(ens), DensityMatrixError, passes)
+        psi = np.sqrt(1 + factor * 1e-8) * E1[None]
+        guarded(lambda: assemble_density(psi), DensityMatrixError, passes)
 
 
 @pytest.mark.parametrize("factor, passes", SIDES)
 class TestEnsembleWeight:
-    def test_validate(self, factor, passes):
-        ens = WaveEnsemble.from_vectors(np.sqrt(1 + factor * 1e-8) * E1[None])
-        guarded(ens.validate, NormViolationError, passes)
-
     def test_step_siwf(self, factor, passes):
         ctx = StepContext(SZ_MONITOR, dt=0.01)
-        ens = WaveEnsemble.from_vectors(np.sqrt(1 + factor * 1e-7) * E1[None])
-        guarded(lambda: step_siwf(ctx, ens, [0.0]), NormViolationError, passes)
+        psi = np.sqrt(1 + factor * 1e-7) * E1[None]
+        guarded(lambda: step_siwf(ctx, psi, [0.0]), NormViolationError, passes)
 
 
 @pytest.mark.parametrize("factor, passes", SIDES)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from siwf.errors import NormViolationError, ReconstructionError
+from siwf.errors import (DimensionMismatchError, NormViolationError,
+                         ReconstructionError)
 from siwf.states import (
     InitialDecomposition,
-    WaveEnsemble,
     assemble_density,
     decompose_density,
     init_ensemble,
@@ -60,24 +60,25 @@ class TestDecompose:
 class TestInitEnsemble:
     def test_pure(self):
         dec = InitialDecomposition(weights=np.array([1.0]), vectors=E1[None])
-        ens = init_ensemble(dec)
-        assert np.array_equal(ens.components, E1[None])
+        psi = init_ensemble(dec)
+        assert np.array_equal(psi, E1[None])
+        assert not psi.flags.writeable
 
     def test_equal_mixture(self):
         dec = InitialDecomposition(
             weights=np.array([0.5, 0.5]), vectors=np.stack([E1, E2])
         )
-        ens = init_ensemble(dec)
-        assert np.allclose(ens.components, np.stack([E1, E2]) / np.sqrt(2))
-        assert ens.total_norm_sq() == pytest.approx(1.0, abs=1e-15)
+        psi = init_ensemble(dec)
+        assert np.allclose(psi, np.stack([E1, E2]) / np.sqrt(2))
+        assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_weight_component_is_zero_vector(self):
         vecs = np.stack([E1, E2, (E1 + E2) / np.sqrt(2)])
         dec = InitialDecomposition(
             weights=np.array([0.7, 0.3, 0.0]), vectors=vecs
         )
-        ens = init_ensemble(dec)
-        assert np.array_equal(ens.components[2], np.zeros(2))
+        psi = init_ensemble(dec)
+        assert np.array_equal(psi[2], np.zeros(2))
 
     def test_weight_sum_enforced(self):
         with pytest.raises(NormViolationError):
@@ -92,20 +93,19 @@ class TestInitEnsemble:
 
 class TestAssemble:
     def test_diagonal_mixture(self):
-        ens = WaveEnsemble.from_vectors(np.stack([E1, E2]) / np.sqrt(2))
-        assert np.allclose(assemble_density(ens), 0.5 * np.eye(2), atol=1e-15)
+        psi = np.stack([E1, E2]) / np.sqrt(2)
+        assert np.allclose(assemble_density(psi), 0.5 * np.eye(2), atol=1e-15)
 
     def test_pure(self):
-        ens = WaveEnsemble.from_vectors(E1[None])
-        assert np.allclose(assemble_density(ens), np.diag([1.0, 0.0]))
+        assert np.allclose(assemble_density(E1[None]), np.diag([1.0, 0.0]))
 
     def test_rotated_components_give_half_identity(self):
         # ((e1+e2)/2, (e1-e2)/2): two outer products summing to I/2
         stack = np.stack([(E1 + E2) / 2, (E1 - E2) / 2])
-        ens = WaveEnsemble.from_vectors(stack)
-        assert np.allclose(assemble_density(ens), 0.5 * np.eye(2), atol=1e-15)
+        assert np.allclose(assemble_density(stack), 0.5 * np.eye(2), atol=1e-15)
 
-    def test_validate_norm(self):
-        ens = WaveEnsemble.from_vectors((0.9 * E1)[None])
-        with pytest.raises(NormViolationError):
-            ens.validate()
+    @pytest.mark.parametrize("psi", [E1, np.stack([E1, E2])[None]],
+                             ids=["vector", "3-d"])
+    def test_rejects_non_stack(self, psi):
+        with pytest.raises(DimensionMismatchError):
+            assemble_density(psi)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from siwf.errors import DensityMatrixError, NormViolationError
+from siwf.errors import (DensityMatrixError, DimensionMismatchError,
+                         NormViolationError)
 from siwf.model import SIGMA_MINUS, SIGMA_Z, make_model, qubit_model, rabi_model, RabiParams
 from siwf.noise import coarsen, generate_noise
-from siwf.states import WaveEnsemble
 from siwf.steppers import (
     StepContext,
     belavkin_step_batch,
@@ -107,19 +107,18 @@ class TestSiwfStep:
         phi /= np.linalg.norm(phi)
         for _ in range(50):
             dw = rng.normal(scale=np.sqrt(1e-3), size=1)
-            ens = step_siwf(ctx, WaveEnsemble.from_vectors(phi[None]), dw)
+            psi = step_siwf(ctx, phi[None], dw)
             single = nonlinear_loop_reference(ctx, phi, dw)
-            assert np.max(np.abs(ens.components[0] - single)) <= 1e-8
+            assert np.max(np.abs(psi[0] - single)) <= 1e-8
             phi = single
 
     def test_zero_component_stays_zero(self):
         model = qubit_model(1.0, 1.0, "z")
         ctx = StepContext(model, dt=1e-3)
-        stack = np.stack([E1, np.zeros(2, dtype=complex)])
-        ens = WaveEnsemble.from_vectors(stack)
+        psi = np.stack([E1, np.zeros(2, dtype=complex)])
         for dw in ([0.1], [-0.2], [0.03]):
-            ens = step_siwf(ctx, ens, np.asarray(dw))
-            assert np.array_equal(ens.components[1], np.zeros(2))
+            psi = step_siwf(ctx, psi, np.asarray(dw))
+            assert np.array_equal(psi[1], np.zeros(2))
 
     def test_coupling_cancellation_gives_linear_steps(self):
         # components e1/sqrt2, e2/sqrt2 have opposite sigma_z means, so the
@@ -127,29 +126,38 @@ class TestSiwfStep:
         ctx = StepContext(SZ_MONITOR, dt=0.01, renormalize=False)
         stack = np.stack([E1, E2]) / np.sqrt(2)
         dw = np.array([0.1])
-        out = step_siwf(ctx, WaveEnsemble.from_vectors(stack), dw)
+        out = step_siwf(ctx, stack, dw)
         lin1 = step_linear_sse(ctx, stack[0], dw)
         lin2 = step_linear_sse(ctx, stack[1], dw)
-        assert np.allclose(out.components[0], lin1, atol=1e-15)
-        assert np.allclose(out.components[1], lin2, atol=1e-15)
+        assert np.allclose(out[0], lin1, atol=1e-15)
+        assert np.allclose(out[1], lin2, atol=1e-15)
 
     def test_global_renormalization_preserves_relative_weights(self):
         model = qubit_model(1.0, 0.6, "z")
         ctx = StepContext(model, dt=1e-3, renormalize=True)
         stack = np.stack([np.sqrt(0.7) * E1, np.sqrt(0.3) * E2])
-        out = step_siwf(ctx, WaveEnsemble.from_vectors(stack), [0.05])
+        out = step_siwf(ctx, stack, [0.05])
         raw, _, norm_sq = siwf_step_batch(
             StepContext(model, dt=1e-3, renormalize=False), stack[None],
             np.array([[0.05]]),
         )
-        assert np.allclose(out.components, raw[0] / np.sqrt(norm_sq[0]),
+        assert np.allclose(out, raw[0] / np.sqrt(norm_sq[0]),
                            atol=1e-15)
 
     def test_rejects_norm_violation(self):
         ctx = StepContext(SZ_MONITOR, dt=0.01)
-        bad = WaveEnsemble.from_vectors((1.1 * E1)[None])
         with pytest.raises(NormViolationError):
-            step_siwf(ctx, bad, [0.1])
+            step_siwf(ctx, (1.1 * E1)[None], [0.1])
+
+    @pytest.mark.parametrize("psi", [
+        np.zeros((0, 2), dtype=complex),
+        np.array([[1.0, 0.0, 0.0]], dtype=complex),
+        E1,
+    ], ids=["empty", "wrong-dim", "not-2d"])
+    def test_rejects_bad_shape(self, psi):
+        ctx = StepContext(SZ_MONITOR, dt=0.01)
+        with pytest.raises(DimensionMismatchError):
+            step_siwf(ctx, psi, [0.1])
 
     def test_renormalization_factor_small_alpha(self):
         # the pre-rescale weight drifts from 1 only at O(dt) per step

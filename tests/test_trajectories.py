@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -470,7 +471,7 @@ class TestMonteCarlo:
         saves = range(0, n_steps + 1, stride)
         sigma = np.zeros((len(saves), 2, 2), dtype=complex)
         w = np.zeros(len(saves))
-        psi0 = init_ensemble(dec).components
+        psi0 = init_ensemble(dec)
         for start in (0, BLOCK_SIZE):
             streams = range(start, min(start + BLOCK_SIZE, 300))
             dw = generate_noise_block(5, 1, dt, n_steps, streams)
@@ -522,6 +523,52 @@ class TestMonteCarlo:
         assert got.samples["purity"].shape == (50, 2)
         assert np.all(got.samples["purity"] <= 1.0 + 1e-9)
         assert got.weights is None
+
+    def test_sampled_weights_are_the_weight_paths(self):
+        # 300 paths: two blocks, so the samples are joined across blocks
+        model, mixed, _, obs = _mc_golden_setup()
+        times = [0.01, 0.025, 0.04]
+        got = sample_functionals(model, mixed, 300, 8, "linear_weighted",
+                                 {"x01": obs["x01"]}, times, dt=1e-3,
+                                 t_final=0.04)
+        t, w = weight_paths(model, mixed, 300, 8, times, dt=1e-3,
+                            t_final=0.04)
+        assert got.times.tobytes() == t.tobytes()
+        assert got.weights.shape == (300, 3)
+        for k in range(len(times)):
+            assert got.weights[:, k].tobytes() == w[:, k].tobytes()
+
+    def test_last_sampled_weights_are_the_final_weights(self):
+        # a hand loop over the one block's substreams: w = ||phi||^2 at t_final
+        model = qubit_model(1.0, 1.0, "z")
+        dec = decompose_density(np.diag([0.6, 0.4]).astype(complex))
+        dt, n_steps = 1e-3, 20
+        ctx = StepContext(model, "euler_maruyama", dt, renormalize=False)
+        dw = generate_noise_block(5, 1, dt, n_steps, range(40))
+        psi0 = np.sqrt(dec.weights)[:, None] * dec.vectors
+        phi = np.broadcast_to(psi0, (40, 2, 2)).copy()
+        for k in range(n_steps):
+            phi = linear_step_batch(ctx, phi, dw[:, k, :])
+        got = sample_functionals(model, dec, 40, 5, "linear_weighted",
+                                 {"sz": SZ}, [0.01, 0.02], dt=dt,
+                                 t_final=n_steps * dt)
+        assert np.allclose(got.weights[:, -1], np.sum(np.abs(phi) ** 2,
+                                                      axis=(1, 2)),
+                           rtol=1e-13, atol=0.0)
+
+    def test_weighted_mean_keeps_no_per_path_weights(self):
+        # 1024 paths at 501 saves: a (saves, n_traj) float array of the
+        # weights alone would take 4.1 MB
+        model = qubit_model(1.0, 1.0, "z")
+        dec = decompose_density(np.diag([0.6, 0.4]).astype(complex))
+        tracemalloc.start()
+        try:
+            monte_carlo_mean(model, dec, 1024, 3, "linear_weighted",
+                             dt=1e-3, t_final=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 501 * 1024 * 8
 
     @pytest.mark.parametrize("entry", [
         lambda m, d: monte_carlo_mean(m, d, 0, 1, dt=0.01, t_final=0.1),

@@ -257,8 +257,10 @@ class TestDecompositionInvariance:
         rot = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         dec_rot = decompose_density(half, mode="given", weights=[0.5, 0.5],
                                     vectors=rot)
+        # the comparison is exact on every path, so one block of paths
+        # checks what more blocks would
         rep = check_decomposition_invariance(
-            model, half, dec_eigen, dec_rot, 2500, SZ, base_seed=16
+            model, half, dec_eigen, dec_rot, traj.BLOCK_SIZE, SZ, base_seed=16
         )
         assert rep.passed
 
