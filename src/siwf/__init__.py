@@ -30,6 +30,7 @@ from .model import (
     annihilation,
     box_model,
     build_gksl_generator,
+    liouvillian,
     make_model,
     qubit_model,
     rabi_model,

@@ -1,7 +1,8 @@
 """Command-line surface: simulate, verify, compare.
 
-Monte Carlo blocks run one after another in one process; outputs are a pure
-function of the config (or suite) and its seed.
+Monte Carlo blocks are shared among forked worker processes, one per usable
+CPU, and merged in block order; outputs are a pure function of the config
+(or suite) and its seed, whatever the number of CPUs.
 """
 
 from __future__ import annotations

@@ -3,8 +3,24 @@
 from __future__ import annotations
 
 
+def _rebuild(cls, args, state):
+    """An error of type ``cls`` with ``args`` and attributes ``state``, made
+    without calling its ``__init__``, whose arguments differ from ``args``."""
+    exc = cls.__new__(cls, *args)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
+
 class SiwfError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every subclass pickles with its type, message and attributes, so an
+    error raised in a Monte Carlo worker process reaches the caller whole.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class DimensionMismatchError(SiwfError, ValueError):

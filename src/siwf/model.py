@@ -29,7 +29,6 @@ SIGMA_X = frozen(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 SIGMA_Y = frozen(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 SIGMA_Z = frozen(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 SIGMA_MINUS = frozen(np.array([[0, 0], [1, 0]], dtype=np.complex128))
-SIGMA_PLUS = frozen(np.array([[0, 1], [0, 0]], dtype=np.complex128))
 
 
 def annihilation(n_levels: int) -> np.ndarray:
@@ -60,6 +59,19 @@ def build_gksl_generator(h, ls: Sequence) -> np.ndarray:
             )
         g = g - 0.5 * (lm.conj().T @ lm)
     return g
+
+
+def liouvillian(model: ModelSpec) -> np.ndarray:
+    """The GKSL generator as a d^2 x d^2 matrix on row-major vec(rho):
+    G (x) I + I (x) conj(G) + sum_l L_l (x) conj(L_l), so that
+    liouvillian(m) @ rho.ravel() is (G rho + rho G^dagger
+    + sum_l L_l rho L_l^dagger).ravel()."""
+    g = model.drift_generator
+    eye = np.eye(model.dim, dtype=np.complex128)
+    out = np.kron(g, eye) + np.kron(eye, g.conj())
+    for l_op in model.lindblads:
+        out += np.kron(l_op, l_op.conj())
+    return out
 
 
 def dissipativity_residual(g: np.ndarray, ls: Sequence[np.ndarray]) -> float:

@@ -13,17 +13,23 @@ reweighted route's by the importance weight of that time.  A block returns
 plain data, (sums, samples): the per-saved-time sums of the density and of
 each functional (``_save_sums``), and per-trajectory samples of each
 functional at the requested times, the reweighted route's importance
-weight among them.  Blocks run one after another in block order, and
-their sums are added with a plain left-to-right ``sum``; the fixed
+weight among them.  ``_map_blocks`` shares the blocks among forked worker
+processes, one per usable CPU, and puts their results back in block
+order; the sums are added with a plain left-to-right ``sum``.  The fixed
 partition and the fixed addition order make every result reproducible bit
-for bit.  One estimator, ``_estimate``, turns summed sums into every Monte
-Carlo mean and standard error: the density's and each observable's in
-``monte_carlo_mean``, and the weight martingale's in ``siwf.verify``.
+for bit, whatever the number of processes.  One estimator, ``_estimate``,
+turns summed sums into every Monte Carlo mean and standard error: the
+density's and each observable's in ``monte_carlo_mean``, and the weight
+martingale's in ``siwf.verify``.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -374,9 +380,16 @@ class FunctionalSamples:
     equation: str
 
 
-#: the keys of the density's sums and of the importance weights' sums and
-#: samples, which no observable name can equal
-_DENSITY, _WEIGHT = object(), object()
+class _Key(Enum):
+    """The keys of the density's sums and of the importance weights' sums
+    and samples, which no observable name can equal; as enum members they
+    keep their identity through the pickle of a worker's results."""
+
+    DENSITY = "density"
+    WEIGHT = "weight"
+
+
+_DENSITY, _WEIGHT = _Key.DENSITY, _Key.WEIGHT
 
 
 def _estimate(sums, n_traj, w=None):
@@ -500,15 +513,125 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
     return sums, samples
 
 
+#: set in a forked worker, which runs its blocks serially and never forks
+_IN_WORKER = False
+
+
+def _worker_count(n_blocks: int) -> int:
+    """Processes that share ``n_blocks`` blocks: one per CPU this process
+    may run on (its affinity set where the platform reports one, else the
+    machine's count), at most one per block, and one where the platform
+    cannot fork or this process is itself a worker."""
+    if _IN_WORKER or not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(n_blocks, cpus)
+
+
+def _run_share(work, blocks, share):
+    """``work`` on the blocks numbered ``share``, in order, stopping at the
+    first that raises: ({block number: result}, (block number, exception)
+    of that block or None)."""
+    results = {}
+    for i in share:
+        try:
+            results[i] = work(blocks[i])
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _portable(exc):
+    """``exc`` if it survives a pickle round trip, else a RuntimeError that
+    carries its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _fork_share(work, blocks, share):
+    """Fork a worker that runs ``_run_share`` and pickles its outcome to a
+    pipe: (pid, read end of the pipe)."""
+    global _IN_WORKER
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        _IN_WORKER = True
+        results, failure = _run_share(work, blocks, share)
+        if failure is not None:
+            failure = (failure[0], _portable(failure[1]))
+        with os.fdopen(write, "wb") as out:
+            pickle.dump((results, failure), out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        # leave at once: no atexit handler, buffer flush or caller's frame
+        # of the parent may run in the worker
+        os._exit(status)
+
+
 def _map_blocks(n_traj, work):
-    """``work(streams)`` on each BLOCK_SIZE block of trajectory indices, one
-    after another; the results in block order."""
+    """``work(streams)`` on each BLOCK_SIZE block of trajectory indices; the
+    results in block order.
+
+    The blocks are dealt round-robin to ``_worker_count`` processes: the
+    caller runs the first share and forks one worker for each other share.
+    A worker pickles its results, or the exception of its first failing
+    block, to a pipe and exits.  The results go back in block order, so
+    they are the serial loop's whatever the number of processes; if blocks
+    fail, the lowest failing block's exception is raised, as the serial
+    loop would raise it.  Every worker is reaped before the call returns,
+    and killed first if the caller is unwinding.
+    """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    return [
-        work(list(range(start, min(start + BLOCK_SIZE, n_traj))))
-        for start in range(0, n_traj, BLOCK_SIZE)
-    ]
+    blocks = [list(range(start, min(start + BLOCK_SIZE, n_traj)))
+              for start in range(0, n_traj, BLOCK_SIZE)]
+    n_workers = _worker_count(len(blocks))
+    if n_workers < 2:
+        return [work(streams) for streams in blocks]
+    shares = [range(w, len(blocks), n_workers) for w in range(n_workers)]
+    workers = []
+    unwinding = True
+    try:
+        for share in shares[1:]:
+            workers.append(_fork_share(work, blocks, share))
+        results, failure = _run_share(work, blocks, shares[0])
+        failures = [failure]
+        for pid, read in workers:
+            with os.fdopen(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise SiwfError(f"Monte Carlo worker {pid} exited without "
+                                "a result")
+            share_results, failure = pickle.loads(data)
+            results.update(share_results)
+            failures.append(failure)
+        unwinding = False
+    finally:
+        for pid, read in workers:
+            os.close(read)
+            if unwinding:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [results[i] for i in range(len(blocks))]
 
 
 def _sample_schedule(sample_times, dt, n_steps):

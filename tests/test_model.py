@@ -12,11 +12,13 @@ from siwf.model import (
     annihilation,
     box_model,
     build_gksl_generator,
+    liouvillian,
     make_model,
     qubit_model,
     rabi_model,
     validate_model,
 )
+from siwf.steppers import gksl_rhs
 
 
 def dissipativity_on_vector(model, x):
@@ -171,3 +173,37 @@ class TestValidateModel:
             x = rng.normal(size=2) + 1j * rng.normal(size=2)
             x /= np.linalg.norm(x)
             assert abs(dissipativity_on_vector(m, x)) <= 1e-10
+
+
+def _random_custom_model(d, m, seed):
+    rng = np.random.default_rng(seed)
+
+    def gaussian():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    h = gaussian()
+    return make_model(0.5 * (h + h.conj().T),
+                      [0.5 * gaussian() for _ in range(m)],
+                      meta={"kind": "custom"})
+
+
+class TestLiouvillian:
+    @pytest.mark.parametrize("model", [
+        qubit_model(1.0, 1.0, "z"),
+        qubit_model(0.0, 1.0, "minus"),
+        rabi_model(RabiParams(1.0, 1.2, 0.1, 0.5, 0.0, 3)),
+        box_model(BoxParams(0.5, 0.5, -4.0, 4.0, 16)),
+        _random_custom_model(3, 2, 5),
+    ], ids=["qubit", "damping-qubit", "rabi", "box", "custom"])
+    def test_matches_gksl_rhs(self, model):
+        rng = np.random.default_rng(model.dim)
+        rho = (rng.normal(size=(model.dim,) * 2)
+               + 1j * rng.normal(size=(model.dim,) * 2))
+        got = liouvillian(model) @ rho.ravel()
+        assert np.max(np.abs(got - gksl_rhs(model, rho).ravel())) <= 1e-13
+
+    def test_closed_system_is_a_commutator(self):
+        model = make_model(SIGMA_Z, [])
+        expected = -1j * (np.kron(SIGMA_Z, np.eye(2))
+                          - np.kron(np.eye(2), SIGMA_Z.T))
+        assert np.array_equal(liouvillian(model), expected)

@@ -1,10 +1,13 @@
 import hashlib
+import os
+import pickle
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import siwf.trajectories as traj
 from siwf.errors import (ConfigError, SiwfError, StepFailureError,
                          TrajectoryExtinctError)
 from siwf.model import (
@@ -725,6 +728,9 @@ class TestGoldenMonteCarlo:
 
     def test_weighted_route_steps_each_block_once(self, monkeypatch):
         import siwf.trajectories as traj
+        # the counter sees only this process's kernel calls, so the blocks
+        # run serially here
+        monkeypatch.setattr(traj, "_worker_count", lambda n_blocks: 1)
         calls = []
         kernel = traj.linear_step_batch
 
@@ -737,3 +743,82 @@ class TestGoldenMonteCarlo:
         monte_carlo_mean(model, mixed, 300, 5, "linear_weighted", dt=1e-3,
                          t_final=0.02, save_stride=5)
         assert calls == [256] * 20 + [44] * 20
+
+
+def _set_cpus(monkeypatch, n):
+    """Let this process run on ``n`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkJoin:
+    """Monte Carlo blocks shared among forked workers give the serial
+    loop's results and errors, and leave no process behind."""
+
+    @staticmethod
+    def _results():
+        model, mixed, pure, obs = _mc_golden_setup()
+        out = []
+        for equation in MC_EQUATIONS:
+            dec = pure if equation == "nonlinear" else mixed
+            s = monte_carlo_mean(model, dec, 600, 41, equation, dt=1e-3,
+                                 t_final=0.02, save_stride=5,
+                                 observables=obs)
+            out.append((s.mean, s.se, s.observable_stats))
+        for equation in ("siwf", "linear_weighted"):
+            got = sample_functionals(model, mixed, 600, 42, equation, obs,
+                                     [0.01, 0.02], dt=1e-3, t_final=0.02)
+            out.append((got.samples, got.weights))
+        return pickle.dumps(out)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forked_results_equal_serial_bytes(self, monkeypatch, cpus):
+        _set_cpus(monkeypatch, cpus)
+        forked = self._results()
+        _no_child_left()
+        monkeypatch.setattr(traj, "_worker_count", lambda n_blocks: 1)
+        assert forked == self._results()
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({1, 2}, 1),  # the worker's block is lower than the caller's
+        ({2, 3}, 2),  # the caller's block is lower than the worker's
+        ({3}, 3),
+    ])
+    def test_lowest_failing_block_raises(self, monkeypatch, failing, raised):
+        _set_cpus(monkeypatch, 2)
+
+        def work(streams):
+            block = streams[0] // BLOCK_SIZE
+            if block in failing:
+                raise TrajectoryExtinctError(0.0, block, streams[0])
+            return block
+
+        with pytest.raises(TrajectoryExtinctError) as err:
+            traj._map_blocks(4 * BLOCK_SIZE, work)
+        assert err.value.step == raised
+        assert err.value.trajectory == raised * BLOCK_SIZE
+        _no_child_left()
+
+    def test_workers_run_serially(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        # blocks 0 and 2 run in the caller, 1 and 3 in its one worker
+        got = traj._map_blocks(4 * BLOCK_SIZE,
+                               lambda streams: traj._worker_count(4))
+        assert got == [2, 1, 2, 1]
+        _no_child_left()
+
+    def test_extinction_raised_in_a_worker(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        model = make_model(np.zeros((2, 2)), [10.0 * np.eye(2)])
+        with pytest.raises(TrajectoryExtinctError) as err:
+            weight_paths(model, mixture([1.0], [E1]), 512, 4, [0.08],
+                         dt=0.01, t_final=0.08)
+        # the second block, run by the worker, holds the extinct paths (see
+        # test_monte_carlo_extinction_names_trajectory)
+        assert (err.value.trajectory, err.value.step) == (435, 8)
+        _no_child_left()

@@ -17,12 +17,15 @@ from siwf.model import (
 import siwf.trajectories as traj
 from siwf.noise import generate_noise
 from siwf.states import InitialDecomposition, decompose_density
-from siwf.trajectories import run_linear_route, run_siwf_trajectory
+from siwf.trajectories import (gksl_solve, run_linear_route,
+                               run_siwf_trajectory)
 from siwf.verify import (
     CONVERGENCE_PATH_SEED,
     DECOMPOSITION_TOL,
     SUITE_DEFAULTS,
+    _gksl_exact,
     _pathwise_report,
+    _suite_models,
     as_negative_control,
     check_decomposition_invariance,
     check_gksl_mean,
@@ -131,6 +134,17 @@ class TestGkslMean:
         dec = decompose_density(np.diag([0.7, 0.3] + [0.0] * 4).astype(complex))
         rep = check_gksl_mean(model, dec, 800, [0.5], base_seed=9)
         assert rep.passed
+
+    @pytest.mark.parametrize("which, rho0, stride, n", [
+        (1, np.diag([1.0, 0.0]), 1000, 1),
+        (2, np.diag([0.7, 0.3] + [0.0] * 4), 500, 2),
+    ], ids=["damping-qubit", "rabi"])
+    def test_exact_oracle_matches_rk4(self, which, rho0, stride, n):
+        # the suite's grids: t = 1 for the damping qubit, 0.5 and 1 for Rabi
+        model = _suite_models()[which]
+        _, rk4 = gksl_solve(model, rho0, 1e-3, stride * n, stride)
+        exact = _gksl_exact(model, rho0, stride * 1e-3, n)
+        assert np.max(np.abs(exact - rk4)) <= 1e-12
 
     def test_requires_minimum_paths(self):
         model = qubit_model(0.0, 1.0, "minus")
