@@ -30,7 +30,6 @@ from .model import (
     annihilation,
     box_model,
     build_gksl_generator,
-    liouvillian,
     make_model,
     qubit_model,
     rabi_model,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -520,9 +521,10 @@ _IN_WORKER = False
 def _worker_count(n_blocks: int) -> int:
     """Processes that share ``n_blocks`` blocks: one per CPU this process
     may run on (its affinity set where the platform reports one, else the
-    machine's count), at most one per block, and one where the platform
-    cannot fork or this process is itself a worker."""
-    if _IN_WORKER or not hasattr(os, "fork"):
+    machine's count), at most one per block, and one off Linux, where
+    forking a process that may hold other threads has not been measured or
+    tested, or where this process is itself a worker."""
+    if _IN_WORKER or sys.platform != "linux":
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -584,6 +586,19 @@ def _fork_share(work, blocks, share):
         os._exit(status)
 
 
+def _worker_outcome(pid, data, status):
+    """Worker ``pid``'s (results, failure), as ``_run_share`` gives them,
+    from the bytes it wrote and its wait status; SiwfError if it did not
+    exit cleanly or its bytes do not unpickle."""
+    if status == 0:
+        try:
+            return pickle.loads(data)
+        except Exception:
+            pass
+    raise SiwfError(f"Monte Carlo worker {pid} exited without a result "
+                    f"(wait status {status}, {len(data)} bytes written)")
+
+
 def _map_blocks(n_traj, work):
     """``work(streams)`` on each BLOCK_SIZE block of trajectory indices; the
     results in block order.
@@ -602,11 +617,9 @@ def _map_blocks(n_traj, work):
     blocks = [list(range(start, min(start + BLOCK_SIZE, n_traj)))
               for start in range(0, n_traj, BLOCK_SIZE)]
     n_workers = _worker_count(len(blocks))
-    if n_workers < 2:
-        return [work(streams) for streams in blocks]
     shares = [range(w, len(blocks), n_workers) for w in range(n_workers)]
     workers = []
-    unwinding = True
+    reaped = set()
     try:
         for share in shares[1:]:
             workers.append(_fork_share(work, blocks, share))
@@ -615,19 +628,17 @@ def _map_blocks(n_traj, work):
         for pid, read in workers:
             with os.fdopen(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
-            if not data:
-                raise SiwfError(f"Monte Carlo worker {pid} exited without "
-                                "a result")
-            share_results, failure = pickle.loads(data)
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            share_results, failure = _worker_outcome(pid, data, status)
             results.update(share_results)
             failures.append(failure)
-        unwinding = False
     finally:
         for pid, read in workers:
             os.close(read)
-            if unwinding:
+            if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+                os.waitpid(pid, 0)
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

@@ -812,6 +812,37 @@ class TestForkJoin:
         assert got == [2, 1, 2, 1]
         _no_child_left()
 
+    def test_no_worker_off_linux(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(traj.sys, "platform", "darwin")
+        assert traj._worker_count(4) == 1
+        assert traj._map_blocks(4 * BLOCK_SIZE, lambda streams: os.getpid()) \
+            == [os.getpid()] * 4
+
+    @pytest.mark.parametrize("payload, fail", [
+        (lambda data: data[:len(data) // 2], False),  # dies partway through
+        (lambda data: data, True),  # writes it all, then exits nonzero
+    ], ids=["truncated", "nonzero-exit"])
+    def test_broken_worker_raises_siwf_error(self, monkeypatch, payload, fail):
+        _set_cpus(monkeypatch, 2)
+
+        class Broken:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+            dumps = staticmethod(pickle.dumps)
+            loads = staticmethod(pickle.loads)
+
+            @staticmethod
+            def dump(obj, out, protocol):
+                out.write(payload(pickle.dumps(obj, protocol)))
+                if fail:
+                    raise OSError("worker fails after writing")
+
+        # the worker, forked after the patch, writes through Broken
+        monkeypatch.setattr(traj, "pickle", Broken)
+        with pytest.raises(SiwfError, match="worker [0-9]+ exited without"):
+            traj._map_blocks(4 * BLOCK_SIZE, lambda streams: streams)
+        _no_child_left()
+
     def test_extinction_raised_in_a_worker(self, monkeypatch):
         _set_cpus(monkeypatch, 2)
         model = make_model(np.zeros((2, 2)), [10.0 * np.eye(2)])
