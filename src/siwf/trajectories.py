@@ -13,9 +13,9 @@ reweighted route's by the importance weight of that time.  A block returns
 plain data, (sums, samples): the per-saved-time sums of the density and of
 each functional (``_save_sums``), and per-trajectory samples of each
 functional at the requested times, the reweighted route's importance
-weight among them.  ``_map_blocks`` shares the blocks among forked worker
-processes, one per usable CPU, and puts their results back in block
-order; the sums are added with a plain left-to-right ``sum``.  The fixed
+weight among them.  On Linux ``_map_blocks`` shares the blocks among
+forked worker processes, one per usable CPU, and puts their results back
+in block order; the sums are added with a plain left-to-right ``sum``.  The fixed
 partition and the fixed addition order make every result reproducible bit
 for bit, whatever the number of processes.  One estimator, ``_estimate``,
 turns summed sums into every Monte Carlo mean and standard error: the
@@ -606,7 +606,8 @@ def _map_blocks(n_traj, work):
     The blocks are dealt round-robin to ``_worker_count`` processes: the
     caller runs the first share and forks one worker for each other share.
     A worker pickles its results, or the exception of its first failing
-    block, to a pipe and exits.  The results go back in block order, so
+    block, to a pipe and exits; one that exits nonzero or whose bytes do
+    not unpickle raises SiwfError.  The results go back in block order, so
     they are the serial loop's whatever the number of processes; if blocks
     fail, the lowest failing block's exception is raised, as the serial
     loop would raise it.  Every worker is reaped before the call returns,
