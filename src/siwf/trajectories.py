@@ -14,7 +14,8 @@ plain data, (sums, samples): the per-saved-time sums of the density and of
 each functional (``_save_sums``), and per-trajectory samples of each
 functional at the requested times, the reweighted route's importance
 weight among them.  On Linux ``_map_blocks`` shares the blocks among
-forked worker processes, one per usable CPU, and puts their results back
+forked worker processes, one per usable CPU with at least ``MIN_SHARE``
+blocks each, and puts their results back
 in block order; the sums are added with a plain left-to-right ``sum``.  The fixed
 partition and the fixed addition order make every result reproducible bit
 for bit, whatever the number of processes.  One estimator, ``_estimate``,
@@ -517,20 +518,26 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
 #: set in a forked worker, which runs its blocks serially and never forks
 _IN_WORKER = False
 
+#: fewest blocks each process gets; a call with fewer per CPU runs in fewer
+#: processes.  A one-block share saves at most one block's time, and on a
+#: host whose CPUs are shared with other load that saving comes and goes
+#: with the load, so a two- or three-block call stays in the caller
+MIN_SHARE = 2
+
 
 def _worker_count(n_blocks: int) -> int:
     """Processes that share ``n_blocks`` blocks: one per CPU this process
     may run on (its affinity set where the platform reports one, else the
-    machine's count), at most one per block, and one off Linux, where
-    forking a process that may hold other threads has not been measured or
-    tested, or where this process is itself a worker."""
+    machine's count), each with at least ``MIN_SHARE`` blocks, and one off
+    Linux, where forking a process that may hold other threads has not been
+    measured or tested, or where this process is itself a worker."""
     if _IN_WORKER or sys.platform != "linux":
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(n_blocks, cpus)
+    return max(1, min(n_blocks // MIN_SHARE, cpus))
 
 
 def _run_share(work, blocks, share):

@@ -766,12 +766,12 @@ class TestForkJoin:
         out = []
         for equation in MC_EQUATIONS:
             dec = pure if equation == "nonlinear" else mixed
-            s = monte_carlo_mean(model, dec, 600, 41, equation, dt=1e-3,
+            s = monte_carlo_mean(model, dec, 1600, 41, equation, dt=1e-3,
                                  t_final=0.02, save_stride=5,
                                  observables=obs)
             out.append((s.mean, s.se, s.observable_stats))
         for equation in ("siwf", "linear_weighted"):
-            got = sample_functionals(model, mixed, 600, 42, equation, obs,
+            got = sample_functionals(model, mixed, 1600, 42, equation, obs,
                                      [0.01, 0.02], dt=1e-3, t_final=0.02)
             out.append((got.samples, got.weights))
         return pickle.dumps(out)
@@ -779,6 +779,8 @@ class TestForkJoin:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_forked_results_equal_serial_bytes(self, monkeypatch, cpus):
         _set_cpus(monkeypatch, cpus)
+        # 1600 paths are seven blocks, enough for a worker per CPU
+        assert traj._worker_count(7) == cpus
         forked = self._results()
         _no_child_left()
         monkeypatch.setattr(traj, "_worker_count", lambda n_blocks: 1)
@@ -811,6 +813,17 @@ class TestForkJoin:
                                lambda streams: traj._worker_count(4))
         assert got == [2, 1, 2, 1]
         _no_child_left()
+
+    @pytest.mark.parametrize("cpus, counts", [
+        (2, [1, 1, 1, 2, 2, 2]),
+        (3, [1, 1, 1, 2, 2, 3]),
+    ])
+    def test_each_process_gets_min_share(self, monkeypatch, cpus, counts):
+        _set_cpus(monkeypatch, cpus)
+        assert [traj._worker_count(n) for n in (1, 2, 3, 4, 5, 6)] == counts
+        # three blocks stay in the caller
+        assert traj._map_blocks(3 * BLOCK_SIZE, lambda streams: os.getpid()) \
+            == [os.getpid()] * 3
 
     def test_no_worker_off_linux(self, monkeypatch):
         _set_cpus(monkeypatch, 2)
@@ -847,7 +860,7 @@ class TestForkJoin:
         _set_cpus(monkeypatch, 2)
         model = make_model(np.zeros((2, 2)), [10.0 * np.eye(2)])
         with pytest.raises(TrajectoryExtinctError) as err:
-            weight_paths(model, mixture([1.0], [E1]), 512, 4, [0.08],
+            weight_paths(model, mixture([1.0], [E1]), 1024, 4, [0.08],
                          dt=0.01, t_final=0.08)
         # the second block, run by the worker, holds the extinct paths (see
         # test_monte_carlo_extinction_names_trajectory)
