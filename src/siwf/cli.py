@@ -1,8 +1,11 @@
 """Command-line surface: simulate, verify, compare.
 
-Monte Carlo blocks are shared among forked worker processes, one per usable
-CPU, and merged in block order; outputs are a pure function of the config
-(or suite) and its seed, whatever the number of CPUs.
+On Linux with two or more CPUs, a Monte Carlo run of four or more blocks
+runs them on a pool of forked worker processes, one per usable CPU, which
+claim the blocks one at a time while the caller waits; the results are
+merged in block order, so outputs are a pure function of the config (or
+suite) and its seed, whatever the number of CPUs.  A worker that dies is
+a SiwfError (exit 2).
 """
 
 from __future__ import annotations

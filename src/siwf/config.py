@@ -61,21 +61,27 @@ def _check_keys(block: dict, allowed: set, prefix: str) -> None:
             )
 
 
-def parse_complex_vector(data, key: str) -> np.ndarray:
+def _numeric(data, key: str, constraint: str) -> np.ndarray:
+    """``data`` as a float array; ConfigError naming ``key`` if it is not
+    a nested list of finite JSON numbers (``json`` reads NaN and Infinity)."""
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(key, "must be an array of [re, im] pairs") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(key, constraint) from None
+    _require(all(map(_finite, np.asarray(data, dtype=object).ravel())),
+             key, "entries must be finite numbers")
+    return arr
+
+
+def parse_complex_vector(data, key: str) -> np.ndarray:
+    arr = _numeric(data, key, "must be an array of [re, im] pairs")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ConfigError(key, "must be an array of [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
 def parse_complex_matrix(data, key: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(key, "must be a nested array of [re, im] pairs") from None
+    arr = _numeric(data, key, "must be a nested array of [re, im] pairs")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(
             key, "must be a square nested array of [re, im] pairs"

@@ -13,22 +13,20 @@ reweighted route's by the importance weight of that time.  A block returns
 plain data, (sums, samples): the per-saved-time sums of the density and of
 each functional (``_save_sums``), and per-trajectory samples of each
 functional at the requested times, the reweighted route's importance
-weight among them.  On Linux ``_map_blocks`` shares the blocks among
-forked worker processes, one per usable CPU with at least ``MIN_SHARE``
-blocks each, and puts their results back
-in block order; the sums are added with a plain left-to-right ``sum``.  The fixed
-partition and the fixed addition order make every result reproducible bit
-for bit, whatever the number of processes.  One estimator, ``_estimate``,
-turns summed sums into every Monte Carlo mean and standard error: the
-density's and each observable's in ``monte_carlo_mean``, and the weight
-martingale's in ``siwf.verify``.
+weight among them.  On Linux ``_map_blocks`` runs the blocks on a pool of
+forked worker processes, one per usable CPU and at most one per
+``MIN_SHARE`` blocks, which claim them one at a time while the caller
+waits; the results go back in block order and the sums are added with a
+plain left-to-right ``sum``.  The fixed partition and the fixed addition
+order make every result reproducible bit for bit, whatever the number of
+processes.  One estimator, ``_estimate``, turns summed sums into every
+Monte Carlo mean and standard error: the density's and each observable's
+in ``monte_carlo_mean``, and the weight martingale's in ``siwf.verify``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -515,22 +513,27 @@ def _propagate_block(model, ctx, equation, dec, seed, streams, n_steps, idx,
     return sums, samples
 
 
-#: set in a forked worker, which runs its blocks serially and never forks
+#: set in a forked worker by ``_start_worker``: the worker runs its blocks
+#: serially, never forks, and finds the ``work`` of the ``_map_blocks`` call
+#: that forked it in ``_WORK``
 _IN_WORKER = False
+_WORK = None
 
-#: fewest blocks each process gets; a call with fewer per CPU runs in fewer
-#: processes.  A one-block share saves at most one block's time, and on a
-#: host whose CPUs are shared with other load that saving comes and goes
-#: with the load, so a two- or three-block call stays in the caller
+#: blocks per worker process: a call of n blocks forks at most
+#: n // MIN_SHARE workers.  A worker with one block saves at most one
+#: block's time, and on a host whose CPUs are shared with other load that
+#: saving comes and goes with the load, so a two- or three-block call stays
+#: in the caller
 MIN_SHARE = 2
 
 
 def _worker_count(n_blocks: int) -> int:
-    """Processes that share ``n_blocks`` blocks: one per CPU this process
+    """Processes to run ``n_blocks`` blocks on: one per CPU this process
     may run on (its affinity set where the platform reports one, else the
-    machine's count), each with at least ``MIN_SHARE`` blocks, and one off
-    Linux, where forking a process that may hold other threads has not been
-    measured or tested, or where this process is itself a worker."""
+    machine's count) and at most one per ``MIN_SHARE`` blocks.  One means
+    the caller runs every block, as it always does off Linux, where forking
+    a process that may hold other threads has not been measured or tested,
+    and in a worker; more means a pool of that many workers."""
     if _IN_WORKER or sys.platform != "linux":
         return 1
     try:
@@ -540,117 +543,49 @@ def _worker_count(n_blocks: int) -> int:
     return max(1, min(n_blocks // MIN_SHARE, cpus))
 
 
-def _run_share(work, blocks, share):
-    """``work`` on the blocks numbered ``share``, in order, stopping at the
-    first that raises: ({block number: result}, (block number, exception)
-    of that block or None)."""
-    results = {}
-    for i in share:
-        try:
-            results[i] = work(blocks[i])
-        except Exception as exc:
-            return results, (i, exc)
-    return results, None
+def _start_worker(work):
+    """Pool initializer of a forked worker.  ``work`` is a closure, which
+    does not pickle; it reaches the worker through the fork."""
+    global _IN_WORKER, _WORK
+    _IN_WORKER, _WORK = True, work
 
 
-def _portable(exc):
-    """``exc`` if it survives a pickle round trip, else a RuntimeError that
-    carries its type and message."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _fork_share(work, blocks, share):
-    """Fork a worker that runs ``_run_share`` and pickles its outcome to a
-    pipe: (pid, read end of the pipe)."""
-    global _IN_WORKER
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        os.close(read)
-        _IN_WORKER = True
-        results, failure = _run_share(work, blocks, share)
-        if failure is not None:
-            failure = (failure[0], _portable(failure[1]))
-        with os.fdopen(write, "wb") as out:
-            pickle.dump((results, failure), out, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        # leave at once: no atexit handler, buffer flush or caller's frame
-        # of the parent may run in the worker
-        os._exit(status)
-
-
-def _worker_outcome(pid, data, status):
-    """Worker ``pid``'s (results, failure), as ``_run_share`` gives them,
-    from the bytes it wrote and its wait status; SiwfError if it did not
-    exit cleanly or its bytes do not unpickle."""
-    if status == 0:
-        try:
-            return pickle.loads(data)
-        except Exception:
-            pass
-    raise SiwfError(f"Monte Carlo worker {pid} exited without a result "
-                    f"(wait status {status}, {len(data)} bytes written)")
+def _run_block(streams):
+    return _WORK(streams)
 
 
 def _map_blocks(n_traj, work):
     """``work(streams)`` on each BLOCK_SIZE block of trajectory indices; the
     results in block order.
 
-    The blocks are dealt round-robin to ``_worker_count`` processes: the
-    caller runs the first share and forks one worker for each other share.
-    A worker pickles its results, or the exception of its first failing
-    block, to a pipe and exits; one that exits nonzero or whose bytes do
-    not unpickle raises SiwfError.  The results go back in block order, so
-    they are the serial loop's whatever the number of processes; if blocks
-    fail, the lowest failing block's exception is raised, as the serial
-    loop would raise it.  Every worker is reaped before the call returns,
-    and killed first if the caller is unwinding.
+    With one process (``_worker_count``) the caller runs the blocks one
+    after another.  Otherwise a pool of forked workers claims them one at
+    a time while the caller waits, and the results go back in block order,
+    so they are the serial loop's whatever the number of processes.  If
+    blocks fail, the lowest failing block's exception is raised, as the
+    serial loop would raise it; a worker that dies raises SiwfError.  Every
+    worker is joined before the call returns.  fork, not spawn: a forked
+    worker starts with the package imported and the call's ``work``, where
+    spawn would pay a fresh interpreter and import on every call.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     blocks = [list(range(start, min(start + BLOCK_SIZE, n_traj)))
               for start in range(0, n_traj, BLOCK_SIZE)]
     n_workers = _worker_count(len(blocks))
-    shares = [range(w, len(blocks), n_workers) for w in range(n_workers)]
-    workers = []
-    reaped = set()
+    if n_workers == 1:
+        return [work(streams) for streams in blocks]
+    # imported here, so that start-up does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
-        for share in shares[1:]:
-            workers.append(_fork_share(work, blocks, share))
-        results, failure = _run_share(work, blocks, shares[0])
-        failures = [failure]
-        for pid, read in workers:
-            with os.fdopen(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            reaped.add(pid)
-            share_results, failure = _worker_outcome(pid, data, status)
-            results.update(share_results)
-            failures.append(failure)
-    finally:
-        for pid, read in workers:
-            os.close(read)
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return [results[i] for i in range(len(blocks))]
+        with ProcessPoolExecutor(n_workers, multiprocessing.get_context("fork"),
+                                 _start_worker, (work,)) as pool:
+            return list(pool.map(_run_block, blocks))
+    except BrokenProcessPool as exc:
+        raise SiwfError(f"a Monte Carlo worker died before returning its "
+                        f"blocks: {exc}") from exc
 
 
 def _sample_schedule(sample_times, dt, n_steps):

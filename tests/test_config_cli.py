@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from siwf.cli import _load_suite, main
-from siwf.config import parse_config, parse_config_dict
+from siwf.config import (parse_complex_matrix, parse_complex_vector,
+                         parse_config, parse_config_dict)
 from siwf.errors import ConfigError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,6 +94,18 @@ class TestParseConfig:
                 {"model": {"preset": "custom", "hamiltonian": h}}
             ))
 
+    @pytest.mark.parametrize("entry", [
+        float("nan"), float("inf"), -float("inf"), None, "1", True, 10**400,
+    ], ids=["nan", "inf", "-inf", "null", "string", "true", "huge-int"])
+    def test_complex_array_entries_must_be_finite_numbers(self, entry):
+        # json reads NaN, Infinity and -Infinity as floats
+        with pytest.raises(ConfigError) as err:
+            parse_complex_vector([[1.0, 0.0], [entry, 0.0]], "v")
+        assert err.value.key == "v"
+        with pytest.raises(ConfigError) as err:
+            parse_complex_matrix([[[1.0, entry]]], "m")
+        assert err.value.key == "m"
+
     def test_mixture_initial_state(self):
         cfg = parse_config(json.dumps({
             "model": {"preset": "qubit"},
@@ -173,6 +186,7 @@ class TestParseConfig:
 UNIT = [[1.0, 0.0], [0.0, 0.0]]
 H_X = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
 H_UPPER = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+NAN, INF = float("nan"), float("inf")
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -352,6 +366,17 @@ class TestSimulateCli:
         ("simulate", {"observables": [{"name": "sigma_z_se", "matrix": H_X},
                                       "sigma_z"]},
          "observables[0]"),
+        ("simulate", {"model": {"preset": "custom",
+                                "hamiltonian": [[[NAN, 0.0], [1.0, 0.0]],
+                                                [[1.0, 0.0], [0.0, 0.0]]]}},
+         "model.hamiltonian"),
+        ("simulate", {"model": {"preset": "custom", "hamiltonian": H_X,
+                                "lindblads": [[[[INF, 0.0], [0.0, 0.0]],
+                                               [[0.0, 0.0], [0.0, 0.0]]]]}},
+         "model.lindblads[0]"),
+        ("simulate", {"initial_state": {"kind": "mixture", "weights": [1.0],
+                                        "vectors": [[[1.0, 0.0], [NAN, 0.0]]]}},
+         "initial_state.vectors[0]"),
         ("simulate", {"t_final": float("inf")}, "t_final"),
         ("simulate", {"dt": 1e-10, "t_final": 1e300}, "t_final"),
         ("simulate", {"dt": 0.02, "t_final": 0.07}, "t_final"),
@@ -365,7 +390,9 @@ class TestSimulateCli:
             "observable-name-comma", "observable-name-empty",
             "observable-duplicate", "observable-named-time",
             "observable-named-record", "observable-named-weight",
-            "observable-named-se-column", "t_final-inf", "steps-overflow",
+            "observable-named-se-column", "hamiltonian-nan",
+            "lindblad-infinity", "mixture-vector-nan", "t_final-inf",
+            "steps-overflow",
             "t_final-off-grid-up", "t_final-off-grid-down", "suite-dt-inf",
             "suite-dt-off-grid"])
     def test_malformed_config_names_key(self, tmp_path, capsys, command, doc,
@@ -380,6 +407,8 @@ class TestSimulateCli:
             argv = ["verify", "--suite", str(path)]
         assert main(argv) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+        # refused before anything is written
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_manifest_config_not_an_object_names_key(self, tmp_path, capsys):
         # the CLI unwraps a manifest as the library does

@@ -1,6 +1,7 @@
+import contextlib
 import hashlib
 import os
-import pickle
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -756,6 +757,30 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def _nothing_left_behind():
+    """The body leaves no child process, open file descriptor or thread
+    behind it."""
+    before = len(os.listdir("/proc/self/fd")), threading.active_count()
+    yield
+    _no_child_left()
+    assert (len(os.listdir("/proc/self/fd")),
+            threading.active_count()) == before
+
+
+def _exact(obj):
+    """``obj`` with each array replaced by its dtype, shape and bytes and
+    each dict by its (key, value) list, so that == compares two results bit
+    for bit, keys and their order included."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, dict):
+        return [(key, _exact(v)) for key, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_exact, obj))
+    return obj
+
+
 class TestForkJoin:
     """Monte Carlo blocks shared among forked workers give the serial
     loop's results and errors, and leave no process behind."""
@@ -774,7 +799,7 @@ class TestForkJoin:
             got = sample_functionals(model, mixed, 1600, 42, equation, obs,
                                      [0.01, 0.02], dt=1e-3, t_final=0.02)
             out.append((got.samples, got.weights))
-        return pickle.dumps(out)
+        return _exact(out)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_forked_results_equal_serial_bytes(self, monkeypatch, cpus):
@@ -787,8 +812,8 @@ class TestForkJoin:
         assert forked == self._results()
 
     @pytest.mark.parametrize("failing, raised", [
-        ({1, 2}, 1),  # the worker's block is lower than the caller's
-        ({2, 3}, 2),  # the caller's block is lower than the worker's
+        ({1, 2}, 1),
+        ({2, 3}, 2),
         ({3}, 3),
     ])
     def test_lowest_failing_block_raises(self, monkeypatch, failing, raised):
@@ -800,19 +825,19 @@ class TestForkJoin:
                 raise TrajectoryExtinctError(0.0, block, streams[0])
             return block
 
-        with pytest.raises(TrajectoryExtinctError) as err:
+        with _nothing_left_behind(), \
+                pytest.raises(TrajectoryExtinctError) as err:
             traj._map_blocks(4 * BLOCK_SIZE, work)
         assert err.value.step == raised
         assert err.value.trajectory == raised * BLOCK_SIZE
-        _no_child_left()
 
     def test_workers_run_serially(self, monkeypatch):
         _set_cpus(monkeypatch, 2)
-        # blocks 0 and 2 run in the caller, 1 and 3 in its one worker
-        got = traj._map_blocks(4 * BLOCK_SIZE,
-                               lambda streams: traj._worker_count(4))
-        assert got == [2, 1, 2, 1]
-        _no_child_left()
+        # every block runs in one of the two workers, which never fork
+        with _nothing_left_behind():
+            got = traj._map_blocks(4 * BLOCK_SIZE,
+                                   lambda streams: traj._worker_count(4))
+        assert got == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("cpus, counts", [
         (2, [1, 1, 1, 2, 2, 2]),
@@ -832,29 +857,18 @@ class TestForkJoin:
         assert traj._map_blocks(4 * BLOCK_SIZE, lambda streams: os.getpid()) \
             == [os.getpid()] * 4
 
-    @pytest.mark.parametrize("payload, fail", [
-        (lambda data: data[:len(data) // 2], False),  # dies partway through
-        (lambda data: data, True),  # writes it all, then exits nonzero
-    ], ids=["truncated", "nonzero-exit"])
-    def test_broken_worker_raises_siwf_error(self, monkeypatch, payload, fail):
+    def test_broken_worker_raises_siwf_error(self, monkeypatch):
         _set_cpus(monkeypatch, 2)
 
-        class Broken:
-            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
-            dumps = staticmethod(pickle.dumps)
-            loads = staticmethod(pickle.loads)
+        def work(streams):
+            # the worker running block 1 dies partway through it
+            if traj._IN_WORKER and streams[0] == BLOCK_SIZE:
+                os._exit(3)
+            return streams
 
-            @staticmethod
-            def dump(obj, out, protocol):
-                out.write(payload(pickle.dumps(obj, protocol)))
-                if fail:
-                    raise OSError("worker fails after writing")
-
-        # the worker, forked after the patch, writes through Broken
-        monkeypatch.setattr(traj, "pickle", Broken)
-        with pytest.raises(SiwfError, match="worker [0-9]+ exited without"):
-            traj._map_blocks(4 * BLOCK_SIZE, lambda streams: streams)
-        _no_child_left()
+        with _nothing_left_behind(), \
+                pytest.raises(SiwfError, match="Monte Carlo worker died"):
+            traj._map_blocks(4 * BLOCK_SIZE, work)
 
     def test_extinction_raised_in_a_worker(self, monkeypatch):
         _set_cpus(monkeypatch, 2)
@@ -862,7 +876,7 @@ class TestForkJoin:
         with pytest.raises(TrajectoryExtinctError) as err:
             weight_paths(model, mixture([1.0], [E1]), 1024, 4, [0.08],
                          dt=0.01, t_final=0.08)
-        # the second block, run by the worker, holds the extinct paths (see
+        # the second block, run by a worker, holds the extinct paths (see
         # test_monte_carlo_extinction_names_trajectory)
         assert (err.value.trajectory, err.value.step) == (435, 8)
         _no_child_left()
