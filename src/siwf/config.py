@@ -393,6 +393,18 @@ def unwrap_manifest(doc) -> dict:
     return doc
 
 
+#: the most steps a run may take: no array can index more
+MAX_STEPS = np.iinfo(np.intp).max
+
+
+def check_step_count(steps: float) -> None:
+    """Reject a ``dt`` that makes a run of more steps than an array can
+    index, with a ConfigError naming ``dt``."""
+    _require(steps <= MAX_STEPS, "dt",
+             f"is too small: {steps:.3g} steps, more than the {MAX_STEPS} "
+             "an array can index")
+
+
 def parse_config_dict(doc: dict) -> SimConfig:
     """Validate a decoded config document (or manifest) into a SimConfig."""
     doc = unwrap_manifest(doc)
@@ -409,6 +421,7 @@ def parse_config_dict(doc: dict) -> SimConfig:
     _require(dt <= t_final, "dt", "must be <= t_final")
     _require(math.isfinite(t_final / dt), "t_final",
              "t_final / dt must be finite")
+    check_step_count(t_final / dt)
     n_traj = merged["n_trajectories"]
     _require(isinstance(n_traj, int) and not isinstance(n_traj, bool)
              and n_traj >= 1, "n_trajectories", "must be an integer >= 1")

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import check_step_count
 from .errors import ConfigError, ReconstructionError, SiwfError
 from .linalg import expm
 from .model import (
@@ -98,6 +99,8 @@ def validate_suite_args(dt: float, checks) -> None:
     ConfigError naming the suite key."""
     if not dt > 0:
         raise ConfigError("dt", "must be positive")
+    # the suite's longest run: siwf-vs-belavkin's path at dt / 2 to t = 1
+    check_step_count(2.0 / dt)
     if off_grid(SUITE_TIME_GRID, dt):
         raise ConfigError(
             "dt", f"must divide {SUITE_TIME_GRID}, the grid of the suite's times"

@@ -13,6 +13,7 @@ from siwf.cli import _load_suite, main
 from siwf.config import (parse_complex_matrix, parse_complex_vector,
                          parse_config, parse_config_dict)
 from siwf.errors import ConfigError
+from siwf.verify import validate_suite_args
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,6 +46,19 @@ class TestParseConfig:
             parse_config(cfg_text(seed=seed))
         assert err.value.key == "seed"
         assert parse_config(cfg_text(seed=2**64 - 1)).seed == 2**64 - 1
+
+    def test_step_count_bounded_by_array_index(self):
+        # 2**62 steps pass; 2**63 is one more than an intp can hold.  Only
+        # parsed: nothing of that size is made
+        assert parse_config(cfg_text(dt=2.0**-62, t_final=1.0)).dt == 2.0**-62
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg_text(dt=2.0**-63, t_final=1.0))
+        assert err.value.key == "dt"
+        # the suite's longest run steps dt / 2 to t = 1
+        validate_suite_args(2.0**-61, None)
+        with pytest.raises(ConfigError) as err:
+            validate_suite_args(2.0**-62, None)
+        assert err.value.key == "dt"
 
     def test_dt_beyond_t_final_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -384,6 +398,8 @@ class TestSimulateCli:
         ("verify", {"dt": float("inf"), "checks": ["norm_conservation"]},
          "dt"),
         ("verify", {"dt": 0.003, "checks": ["norm_conservation"]}, "dt"),
+        ("verify", {"dt": 1e-300, "checks": ["norm_conservation"]}, "dt"),
+        ("verify", {"dt": 5e-324, "checks": ["norm_conservation"]}, "dt"),
     ], ids=["weights-string", "vectors-number", "vectors-empty",
             "potential-strings", "lindblads-number", "non-hermitian",
             "observable-name-list", "observable-non-hermitian",
@@ -394,7 +410,8 @@ class TestSimulateCli:
             "lindblad-infinity", "mixture-vector-nan", "t_final-inf",
             "steps-overflow",
             "t_final-off-grid-up", "t_final-off-grid-down", "suite-dt-inf",
-            "suite-dt-off-grid"])
+            "suite-dt-off-grid", "suite-steps-beyond-index",
+            "suite-steps-infinite"])
     def test_malformed_config_names_key(self, tmp_path, capsys, command, doc,
                                         key):
         if command == "simulate":
@@ -435,6 +452,17 @@ class TestSimulateCli:
         assert "config key 'config'" in capsys.readouterr().err
         assert not (tmp_path / "o1").exists()
         assert not (tmp_path / "o2").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--n-trajectories", "300"]],
+                             ids=["single-path", "monte-carlo"])
+    def test_tiny_dt_flag_names_dt(self, tmp_path, capsys, flags):
+        # 5e298 steps: once a noise array of that many rows was requested
+        # after manifest.json was written
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "o"))
+        argv = ["simulate", "--config", str(cfg), "--dt", "1e-300", *flags]
+        assert main(argv) == 2
+        assert "config key 'dt'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_output_dir_below_file_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -504,6 +532,13 @@ class TestCompareCli:
         assert main(["compare", "--a", str(a), "--b", str(b)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["max_density_difference"] == 0.0
+
+    def test_tiny_dt_names_dt(self, tmp_path, capsys):
+        a = write_config(tmp_path, "a.json", output_dir=str(tmp_path / "oa"))
+        b = write_config(tmp_path, "b.json", dt=1e-300,
+                         output_dir=str(tmp_path / "ob"))
+        assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+        assert "config key 'dt'" in capsys.readouterr().err
 
     def test_dt_halving_reports_convergence(self, tmp_path, capsys):
         a = write_config(tmp_path, "a.json", dt=2e-3, t_final=0.1,
