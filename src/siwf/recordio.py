@@ -23,7 +23,8 @@ from .trajectories import MeanSeries
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-#: floats formatted per chunk of a stack, rounded to whole saved times
+#: floats formatted per chunk of a stack, rounded down to whole saved times
+#: (at least one)
 _CHUNK_FLOATS = 1 << 11
 
 #: json's spelling of a non-finite magnitude and of its negation; json
