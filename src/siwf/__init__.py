@@ -47,11 +47,11 @@ from .states import (
 from .steppers import (
     SCHEMES,
     StepContext,
-    step_belavkin,
+    belavkin_step_batch,
+    linear_step_batch,
+    siwf_step_batch,
     step_gksl,
-    step_linear_sse,
     step_nonlinear_sse,
-    step_siwf,
 )
 from .trajectories import (
     FunctionalSamples,

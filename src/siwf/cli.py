@@ -345,6 +345,12 @@ def main(argv=None) -> int:
     except SiwfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a dt that makes more steps than memory holds fails at its first
+        # step-sized allocation
+        print(f"error: out of memory, raise dt for fewer steps: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,9 +7,12 @@ by scaling-and-squaring) while keeping the nonlinear and noise terms
 explicit; for a closed system the exponential variant is exactly unitary.
 
 The batched kernels advance whole stacks of independent trajectories at
-once; the public single-trajectory operations wrap them.  The nonlinear
-pure-state equation is the ensemble equation of a one-component stack, so
-its step wraps ``siwf_step_batch``.
+once and are the stepping API: one state steps as a one-row stack,
+``siwf_step_batch(ctx, psi[None], dw[None])``.  The nonlinear pure-state
+equation is the ensemble equation of a one-component stack; its checked
+single-state step ``step_nonlinear_sse`` wraps ``siwf_step_batch`` and stays
+because the benchmark's tracer looks it up by name.  ``step_gksl`` is the
+RK4 step of the mean master equation.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormViolationError, DensityMatrixError
-from .linalg import NORM_TOL, TRACE_TOL, as_state, expm, frozen, hermitize
+from .errors import DimensionMismatchError, NormViolationError
+from .linalg import NORM_TOL, as_state, expm, frozen, hermitize
 from .model import ModelSpec
 
 SCHEMES = ("euler_maruyama", "exponential_em")
@@ -193,13 +196,6 @@ def gksl_rhs(model: ModelSpec, rho: np.ndarray) -> np.ndarray:
 # public single-trajectory steps
 # ---------------------------------------------------------------------------
 
-def step_linear_sse(ctx: StepContext, phi, dw) -> np.ndarray:
-    """Advance one unnormalized state by the linear equation."""
-    v = as_state(phi, ctx.model.dim)
-    dwv = _check_dw(ctx, dw)
-    return linear_step_batch(ctx, v[None, None, :], dwv[None, :])[0, 0]
-
-
 def _check_pure_state(ctx: StepContext, phi_hat) -> np.ndarray:
     """``phi_hat`` as a state vector: nonzero, and unit when renormalizing."""
     v = as_state(phi_hat, ctx.model.dim)
@@ -222,40 +218,6 @@ def step_nonlinear_sse(ctx: StepContext, phi_hat, dw) -> np.ndarray:
     v = _check_pure_state(ctx, phi_hat)
     dwv = _check_dw(ctx, dw)
     return siwf_step_batch(ctx, v[None, None, :], dwv[None, :])[0][0, 0]
-
-
-def step_siwf(ctx: StepContext, psi, dw) -> np.ndarray:
-    """Advance an (N, d) wave-function stack by one step."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.ndim != 2 or psi.shape[0] == 0 or psi.shape[1] != ctx.model.dim:
-        raise DimensionMismatchError(
-            f"ensemble must be a non-empty (N, {ctx.model.dim}) stack, got "
-            f"shape {psi.shape}"
-        )
-    drift = abs(float(np.sum(np.abs(psi) ** 2)) - 1.0)
-    if drift > 10 * NORM_TOL:
-        raise NormViolationError(
-            "ensemble weight drifted too far from 1 to step safely", drift
-        )
-    dwv = _check_dw(ctx, dw)
-    return siwf_step_batch(ctx, psi[None], dwv[None, :])[0][0]
-
-
-def step_belavkin(ctx: StepContext, rho, dw) -> np.ndarray:
-    """Advance a conditioned density matrix by one step."""
-    r = np.asarray(rho, dtype=np.complex128)
-    if r.shape != (ctx.model.dim, ctx.model.dim):
-        raise DimensionMismatchError(
-            f"density shape {r.shape} does not match model dim {ctx.model.dim}"
-        )
-    drift = abs(float(np.trace(r).real) - 1.0)
-    if not ctx.renormalize and drift > 10 * TRACE_TOL:
-        raise DensityMatrixError(
-            "trace drifted too far from 1 with renormalization disabled", drift
-        )
-    dwv = _check_dw(ctx, dw)
-    new, _ = belavkin_step_batch(ctx, r[None], dwv[None, :])
-    return new[0]
 
 
 def step_gksl(ctx: StepContext, rho) -> np.ndarray:

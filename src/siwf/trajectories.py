@@ -76,10 +76,8 @@ def save_indices(n_steps: int, save_stride: int) -> np.ndarray:
     """Step indices retained in a record: every stride-th plus the last."""
     if save_stride < 1:
         raise ValueError("save_stride must be >= 1")
-    idx = list(range(0, n_steps + 1, save_stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx, dtype=int)
+    idx = np.arange(0, n_steps + 1, save_stride)
+    return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
 
 def observable_series(densities: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -452,9 +452,12 @@ def check_linear_route_equivalence(
 
 
 def check_model_identities(model: ModelSpec, name: str = "model-identities") -> CheckReport:
-    """The drift generator must satisfy the dissipativity identity."""
+    """The drift generator must satisfy the dissipativity identity and be
+    -iH - 1/2 sum_l L_l^dag L_l of the model's H and L_l; the statistic is
+    the largest of ``validate_model``'s three residuals."""
     diag = validate_model(model)
-    stat = max(diag.dissipativity_residual, diag.hermiticity_residual)
+    stat = max(diag.dissipativity_residual, diag.hermiticity_residual,
+               diag.drift_residual)
     return _report(name, "exact", stat, diag.threshold, details=diag.summary())
 
 

@@ -464,6 +464,17 @@ class TestSimulateCli:
         assert "config key 'dt'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--n-trajectories", "300"]],
+                             ids=["single-path", "monte-carlo"])
+    def test_out_of_memory_dt_names_dt(self, tmp_path, capsys, flags):
+        # 5e16 steps: an array can index them but memory cannot hold them
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "o"))
+        argv = ["simulate", "--config", str(cfg), "--dt", "1e-18", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "dt" in err[0]
+
     def test_output_dir_below_file_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -506,6 +517,15 @@ class TestVerifyCli:
             argv += ["--output", str(tmp_path / output)]
         assert main(argv) == 2
         assert key in capsys.readouterr().err
+
+    def test_out_of_memory_dt_names_dt(self, tmp_path, capsys):
+        # 1e15 steps for the unit-time checks
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"dt": 1e-15}))
+        assert main(["verify", "--suite", str(suite)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "dt" in err[0]
 
     def test_small_suite_report(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"

@@ -20,7 +20,7 @@ from siwf.model import (
     validate_model,
 )
 from siwf.states import assemble_density
-from siwf.steppers import StepContext, step_belavkin, step_nonlinear_sse, step_siwf
+from siwf.steppers import StepContext, belavkin_step_batch, step_nonlinear_sse
 
 E1 = np.array([1, 0], dtype=complex)
 SZ_MONITOR = make_model(np.zeros((2, 2)), [SIGMA_Z])
@@ -86,14 +86,6 @@ class TestDensityMatrix:
 
 
 @pytest.mark.parametrize("factor, passes", SIDES)
-class TestEnsembleWeight:
-    def test_step_siwf(self, factor, passes):
-        ctx = StepContext(SZ_MONITOR, dt=0.01)
-        psi = np.sqrt(1 + factor * 1e-7) * E1[None]
-        guarded(lambda: step_siwf(ctx, psi, [0.0]), NormViolationError, passes)
-
-
-@pytest.mark.parametrize("factor, passes", SIDES)
 class TestStepDrift:
     def test_nonlinear_renormalized(self, factor, passes):
         ctx = StepContext(SZ_MONITOR, dt=0.01, renormalize=True)
@@ -105,13 +97,8 @@ class TestStepDrift:
         ctx = StepContext(SZ_MONITOR, dt=0.01, renormalize=False)
         step_nonlinear_sse(ctx, (1 + factor * 1e-7) * E1, [0.0])
 
-    def test_belavkin_unrenormalized(self, factor, passes):
-        ctx = StepContext(SZ_MONITOR, dt=0.01, renormalize=False)
-        rho = np.diag([1 + factor * 1e-7, 0.0]).astype(complex)
-        guarded(lambda: step_belavkin(ctx, rho, [0.0]),
-                DensityMatrixError, passes)
-
     def test_belavkin_renormalized_rescales(self, factor, passes):
         ctx = StepContext(SZ_MONITOR, dt=0.01, renormalize=True)
         rho = np.diag([1 + factor * 1e-7, 0.0]).astype(complex)
-        assert np.trace(step_belavkin(ctx, rho, [0.0])).real == pytest.approx(1.0)
+        out = belavkin_step_batch(ctx, rho[None], np.array([[0.0]]))[0][0]
+        assert np.trace(out).real == pytest.approx(1.0)

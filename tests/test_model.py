@@ -160,6 +160,23 @@ class TestValidateModel:
         assert not diag.passed
         assert diag.dissipativity_residual == pytest.approx(0.02, rel=1e-9)
 
+    def test_drift_defect_fails(self):
+        # an extra anti-Hermitian -0.5i sigma_x leaves the dissipativity and
+        # Hermiticity residuals at zero; only the drift residual sees it
+        m = qubit_model(1.0, 1.0, "z")
+        broken = ModelSpec(
+            dim=m.dim,
+            hamiltonian=m.hamiltonian,
+            lindblads=m.lindblads,
+            drift_generator=m.drift_generator - 0.5j * SIGMA_X,
+            meta=m.meta,
+        )
+        diag = validate_model(broken)
+        assert diag.dissipativity_residual <= 1e-15
+        assert diag.drift_residual == pytest.approx(0.5, rel=1e-12)
+        assert not diag.passed
+        assert diag.summary().startswith("FAIL")
+
     def test_closed_system_residual_zero(self):
         m = make_model(SIGMA_Z, [])
         diag = validate_model(m)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from siwf.errors import (DensityMatrixError, DimensionMismatchError,
-                         NormViolationError)
+from siwf.errors import NormViolationError
 from siwf.model import SIGMA_MINUS, SIGMA_Z, make_model, qubit_model, rabi_model, RabiParams
 from siwf.noise import coarsen, generate_noise
 from siwf.steppers import (
@@ -14,11 +13,8 @@ from siwf.steppers import (
     gksl_rhs,
     linear_step_batch,
     siwf_step_batch,
-    step_belavkin,
     step_gksl,
-    step_linear_sse,
     step_nonlinear_sse,
-    step_siwf,
 )
 
 E1 = np.array([1, 0], dtype=complex)
@@ -31,29 +27,30 @@ class TestLinearStep:
     def test_zero_generator_identity(self):
         ctx = StepContext(FREE, dt=0.01)
         phi = np.array([0.6, 0.8j])
-        assert np.array_equal(step_linear_sse(ctx, phi, []), phi)
+        out = linear_step_batch(ctx, phi[None, None], np.zeros((1, 0)))[0, 0]
+        assert np.array_equal(out, phi)
 
     def test_deterministic_drift(self):
         model = make_model(SIGMA_Z, [])
         ctx = StepContext(model, dt=0.01)
-        out = step_linear_sse(ctx, E1, [])
+        out = linear_step_batch(ctx, E1[None, None], np.zeros((1, 0)))[0, 0]
         assert np.allclose(out, np.array([1 - 0.01j, 0]), atol=1e-15)
 
     def test_single_step_arithmetic(self):
         # G = -I/2, so phi' = (1 - 0.005 + 0.1) e1 = 1.095 e1
         ctx = StepContext(SZ_MONITOR, dt=0.01)
-        out = step_linear_sse(ctx, E1, [0.1])
+        out = linear_step_batch(ctx, E1[None, None], np.array([[0.1]]))[0, 0]
         assert np.allclose(out, np.array([1.095, 0]), atol=1e-15)
 
     def test_exponential_scheme_scalar_oracle(self):
         # on the sigma_z eigenstate: phi' = e^{-dt/2} (1 + dB) phi
         ctx = StepContext(SZ_MONITOR, scheme="exponential_em", dt=0.01)
-        out = step_linear_sse(ctx, E1, [0.1])
+        out = linear_step_batch(ctx, E1[None, None], np.array([[0.1]]))[0, 0]
         assert out[0] == pytest.approx(np.exp(-0.005) * 1.1, abs=1e-12)
 
     def test_never_normalizes(self):
         ctx = StepContext(SZ_MONITOR, dt=0.01, renormalize=True)
-        out = step_linear_sse(ctx, E1, [0.5])
+        out = linear_step_batch(ctx, E1[None, None], np.array([[0.5]]))[0, 0]
         assert np.linalg.norm(out) != pytest.approx(1.0)
 
 
@@ -107,7 +104,7 @@ class TestSiwfStep:
         phi /= np.linalg.norm(phi)
         for _ in range(50):
             dw = rng.normal(scale=np.sqrt(1e-3), size=1)
-            psi = step_siwf(ctx, phi[None], dw)
+            psi = siwf_step_batch(ctx, phi[None, None], dw[None])[0][0]
             single = nonlinear_loop_reference(ctx, phi, dw)
             assert np.max(np.abs(psi[0] - single)) <= 1e-8
             phi = single
@@ -117,7 +114,7 @@ class TestSiwfStep:
         ctx = StepContext(model, dt=1e-3)
         psi = np.stack([E1, np.zeros(2, dtype=complex)])
         for dw in ([0.1], [-0.2], [0.03]):
-            psi = step_siwf(ctx, psi, np.asarray(dw))
+            psi = siwf_step_batch(ctx, psi[None], np.array([dw]))[0][0]
             assert np.array_equal(psi[1], np.zeros(2))
 
     def test_coupling_cancellation_gives_linear_steps(self):
@@ -126,9 +123,9 @@ class TestSiwfStep:
         ctx = StepContext(SZ_MONITOR, dt=0.01, renormalize=False)
         stack = np.stack([E1, E2]) / np.sqrt(2)
         dw = np.array([0.1])
-        out = step_siwf(ctx, stack, dw)
-        lin1 = step_linear_sse(ctx, stack[0], dw)
-        lin2 = step_linear_sse(ctx, stack[1], dw)
+        out = siwf_step_batch(ctx, stack[None], dw[None])[0][0]
+        lin1 = linear_step_batch(ctx, stack[None, :1], dw[None])[0, 0]
+        lin2 = linear_step_batch(ctx, stack[None, 1:], dw[None])[0, 0]
         assert np.allclose(out[0], lin1, atol=1e-15)
         assert np.allclose(out[1], lin2, atol=1e-15)
 
@@ -136,28 +133,13 @@ class TestSiwfStep:
         model = qubit_model(1.0, 0.6, "z")
         ctx = StepContext(model, dt=1e-3, renormalize=True)
         stack = np.stack([np.sqrt(0.7) * E1, np.sqrt(0.3) * E2])
-        out = step_siwf(ctx, stack, [0.05])
+        out = siwf_step_batch(ctx, stack[None], np.array([[0.05]]))[0][0]
         raw, _, norm_sq = siwf_step_batch(
             StepContext(model, dt=1e-3, renormalize=False), stack[None],
             np.array([[0.05]]),
         )
         assert np.allclose(out, raw[0] / np.sqrt(norm_sq[0]),
                            atol=1e-15)
-
-    def test_rejects_norm_violation(self):
-        ctx = StepContext(SZ_MONITOR, dt=0.01)
-        with pytest.raises(NormViolationError):
-            step_siwf(ctx, (1.1 * E1)[None], [0.1])
-
-    @pytest.mark.parametrize("psi", [
-        np.zeros((0, 2), dtype=complex),
-        np.array([[1.0, 0.0, 0.0]], dtype=complex),
-        E1,
-    ], ids=["empty", "wrong-dim", "not-2d"])
-    def test_rejects_bad_shape(self, psi):
-        ctx = StepContext(SZ_MONITOR, dt=0.01)
-        with pytest.raises(DimensionMismatchError):
-            step_siwf(ctx, psi, [0.1])
 
     def test_renormalization_factor_small_alpha(self):
         # the pre-rescale weight drifts from 1 only at O(dt) per step
@@ -179,33 +161,28 @@ class TestBelavkinStep:
     def test_free_identity(self):
         ctx = StepContext(FREE, dt=0.01)
         rho = np.diag([0.3, 0.7]).astype(complex)
-        assert np.array_equal(step_belavkin(ctx, rho, []), rho)
+        out = belavkin_step_batch(ctx, rho[None], np.zeros((1, 0)))[0][0]
+        assert np.array_equal(out, rho)
 
     def test_maximally_mixed_drift_vanishes(self):
         # tr(sz rho) = 0 and sz rho sz = rho: the noiseless step is exact
         ctx = StepContext(SZ_MONITOR, dt=0.01)
         rho = 0.5 * np.eye(2, dtype=complex)
-        out = step_belavkin(ctx, rho, [0.0])
+        out = belavkin_step_batch(ctx, rho[None], np.array([[0.0]]))[0][0]
         assert np.allclose(out, rho, atol=1e-15)
 
     def test_eigenstate_is_stationary(self):
         ctx = StepContext(SZ_MONITOR, dt=0.01)
         rho = np.diag([1.0, 0.0]).astype(complex)
-        out = step_belavkin(ctx, rho, [0.4])
+        out = belavkin_step_batch(ctx, rho[None], np.array([[0.4]]))[0][0]
         assert np.allclose(out, rho, atol=1e-14)
 
     def test_hermitian_after_step(self):
         model = qubit_model(1.3, 0.9, "x")
         ctx = StepContext(model, dt=1e-3)
         rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
-        out = step_belavkin(ctx, rho, [0.21])
+        out = belavkin_step_batch(ctx, rho[None], np.array([[0.21]]))[0][0]
         assert np.array_equal(out, out.conj().T)
-
-    def test_trace_drift_error_without_renormalization(self):
-        ctx = StepContext(SZ_MONITOR, dt=0.01, renormalize=False)
-        rho = np.diag([0.7, 0.7]).astype(complex)
-        with pytest.raises(DensityMatrixError):
-            step_belavkin(ctx, rho, [0.1])
 
 
 def linear_einsum_reference(ctx, phi, dw):
@@ -409,8 +386,8 @@ class TestSchemeAgreement:
         worst = 0.0
         for k in range(1000):
             dw = noise.increments[k]
-            phi_e = step_linear_sse(ctx_e, phi_e, dw)
-            phi_x = step_linear_sse(ctx_x, phi_x, dw)
+            phi_e = linear_step_batch(ctx_e, phi_e[None, None], dw[None])[0, 0]
+            phi_x = linear_step_batch(ctx_x, phi_x[None, None], dw[None])[0, 0]
             worst = max(worst, float(np.max(np.abs(phi_e - phi_x))))
         g_norm = np.linalg.norm(model.drift_generator, 2)
         assert worst <= 10.0 * g_norm * dt

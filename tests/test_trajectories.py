@@ -38,6 +38,7 @@ from siwf.trajectories import (
     resolve_steps,
     run_siwf_trajectory,
     sample_functionals,
+    save_indices,
     weight_paths,
 )
 
@@ -282,7 +283,7 @@ class TestRecordSums:
     def test_sums_match_running_totals(self, stride):
         # the path driver's record series must round exactly like the
         # running totals w += dw; b += dw + drift dt
-        from siwf.trajectories import _run_stack, save_indices
+        from siwf.trajectories import _run_stack
         n_steps, n_ch = 50, 2
         model = make_model(np.zeros((2, 2)), [SIGMA_Z, SIGMA_MINUS])
         noise = generate_noise(4, 3, 1e-3, n_steps)
@@ -604,6 +605,17 @@ class TestTimeGrid:
         s = monte_carlo_mean(qubit_model(1.0, 1.0, "z"), mixture([1.0], [E1]),
                              4, 1, dt=0.1, t_final=0.3)
         assert s.times[-1] == pytest.approx(0.3)
+
+    def test_save_indices_match_list_construction(self):
+        for n_steps in range(1, 61):
+            for stride in range(1, 71):
+                ref = list(range(0, n_steps + 1, stride))
+                if ref[-1] != n_steps:
+                    ref.append(n_steps)
+                ref = np.asarray(ref, dtype=int)
+                idx = save_indices(n_steps, stride)
+                assert idx.dtype == ref.dtype
+                assert np.array_equal(idx, ref), (n_steps, stride)
 
     def test_off_grid_sample_time_rejected(self):
         with pytest.raises(ConfigError, match="0.03") as err:

@@ -8,6 +8,7 @@ from siwf.model import (
     BoxParams,
     ModelSpec,
     RabiParams,
+    SIGMA_X,
     SIGMA_Z,
     box_model,
     make_model,
@@ -451,6 +452,17 @@ class TestNegativeControlWrapper:
         model = qubit_model(1.0, 1.0, "z")
         rep = check_model_identities(model)
         assert rep.passed == (rep.statistic <= rep.threshold)
+
+    def test_drift_defect_counts(self):
+        model = qubit_model(1.0, 1.0, "z")
+        broken = ModelSpec(
+            dim=2, hamiltonian=model.hamiltonian, lindblads=model.lindblads,
+            drift_generator=model.drift_generator - 0.5j * SIGMA_X,
+            meta=model.meta,
+        )
+        rep = check_model_identities(broken)
+        assert rep.statistic == pytest.approx(0.5, rel=1e-12)
+        assert not rep.passed
 
 
 class TestSuite:
