@@ -95,23 +95,11 @@ def cmd_simulate(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SiwfError(f"cannot create output_dir '{outdir}': {exc}") from exc
-    written = []
 
-    def emit(name: str, text: str):
-        _write(outdir / name, text)
-        written.append(outdir / name)
-
-    emit("manifest.json", manifest_json(cfg, __version__))
-
-    if cfg.equation == "gksl" or cfg.n_trajectories == 1:
+    single = cfg.equation == "gksl" or cfg.n_trajectories == 1
+    if single:
         noise = generate_noise(cfg.seed, cfg.model.n_channels, cfg.dt, n_steps)
         record, weights = _run_single_on_noise(cfg, noise)
-        # the deterministic mean evolution is a mean, not a trajectory
-        name = "mean.csv" if cfg.equation == "gksl" else "trajectory.csv"
-        emit(name, record_to_csv(record, weights))
-        if cfg.dump_densities:
-            emit("densities.json",
-                 densities_to_json(record.times, record.densities))
     else:
         mc_equation = {"linear": "linear_weighted"}.get(cfg.equation, cfg.equation)
         series = monte_carlo_mean(
@@ -120,6 +108,23 @@ def cmd_simulate(args) -> int:
             save_stride=cfg.save_stride, scheme=cfg.scheme,
             renormalize=cfg.renormalize, observables=cfg.observables(),
         )
+    written = []
+
+    def emit(name: str, text: str):
+        _write(outdir / name, text)
+        written.append(outdir / name)
+
+    # written only once the run has its records, so a run that fails
+    # leaves no file behind
+    emit("manifest.json", manifest_json(cfg, __version__))
+    if single:
+        # the deterministic mean evolution is a mean, not a trajectory
+        name = "mean.csv" if cfg.equation == "gksl" else "trajectory.csv"
+        emit(name, record_to_csv(record, weights))
+        if cfg.dump_densities:
+            emit("densities.json",
+                 densities_to_json(record.times, record.densities))
+    else:
         emit("mean.csv", mean_to_csv(series))
         if cfg.dump_densities:
             emit("mean_densities.json", mean_densities_to_json(series))

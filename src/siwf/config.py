@@ -393,16 +393,17 @@ def unwrap_manifest(doc) -> dict:
     return doc
 
 
-#: the most steps a run may take: no array can index more
-MAX_STEPS = np.iinfo(np.intp).max
+#: the most steps a run may take: one float64 per step, a path's noise,
+#: must fit in the bytes an array can address (2**63 - 1)
+MAX_STEPS = 2**60 - 1
 
 
 def check_step_count(steps: float) -> None:
-    """Reject a ``dt`` that makes a run of more steps than an array can
-    index, with a ConfigError naming ``dt``."""
+    """Reject a ``dt`` that makes a run of more steps than an array of one
+    float64 per step can hold, with a ConfigError naming ``dt``."""
     _require(steps <= MAX_STEPS, "dt",
              f"is too small: {steps:.3g} steps, more than the {MAX_STEPS} "
-             "an array can index")
+             "whose float64 noise an array can hold")
 
 
 def parse_config_dict(doc: dict) -> SimConfig:

@@ -203,6 +203,12 @@ def generate_noise_block(
     if n_steps < 0 or n_channels < 0:
         raise ValueError("n_steps and n_channels must be non-negative")
     streams = list(streams)
+    size = len(streams) * n_steps * n_channels
+    if size * 8 > np.iinfo(np.intp).max:
+        # numpy reports such a size as a ValueError, though it only means
+        # the block needs more memory than there is
+        raise MemoryError(f"a noise block of {size} float64 increments is "
+                          "more than an array can address")
     out = np.empty((len(streams), n_steps, n_channels))
     _uniforms(seed, streams, out)
     flat = out.reshape(-1)

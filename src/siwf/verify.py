@@ -34,6 +34,7 @@ from .states import InitialDecomposition, TrajectoryRecord, decompose_density
 from .trajectories import (
     BLOCK_SIZE,
     _estimate,
+    _moments,
     _sample_schedule,
     # no check calls gksl_solve; the benchmark's tracers patch it here by
     # name, and without it every traced or step-counted verify run fails
@@ -367,7 +368,8 @@ def check_martingale(
     )
     # one contiguous row per time: numpy sums along a row pairwise
     w = np.ascontiguousarray(w.T)
-    mean, se = _estimate((w.sum(axis=1), (w * w).sum(axis=1)), n_traj)
+    mean, _, dev2 = _moments(w)
+    mean, se = _estimate((mean, dev2), n_traj)
     stat = float(np.max(np.abs(mean - 1.0) / (3.0 * se + STAT_FLOOR)))
     detail = ", ".join(
         f"t={t:g}: {m:.5f}+-{s:.5f}" for t, m, s in zip(t_grid, mean, se)

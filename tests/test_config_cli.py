@@ -48,16 +48,17 @@ class TestParseConfig:
         assert parse_config(cfg_text(seed=2**64 - 1)).seed == 2**64 - 1
 
     def test_step_count_bounded_by_array_index(self):
-        # 2**62 steps pass; 2**63 is one more than an intp can hold.  Only
-        # parsed: nothing of that size is made
-        assert parse_config(cfg_text(dt=2.0**-62, t_final=1.0)).dt == 2.0**-62
+        # 2**59 steps pass; at 2**60 one float64 per step is 2**63 bytes,
+        # one more than an array can address.  Only parsed: nothing of that
+        # size is made
+        assert parse_config(cfg_text(dt=2.0**-59, t_final=1.0)).dt == 2.0**-59
         with pytest.raises(ConfigError) as err:
-            parse_config(cfg_text(dt=2.0**-63, t_final=1.0))
+            parse_config(cfg_text(dt=2.0**-60, t_final=1.0))
         assert err.value.key == "dt"
         # the suite's longest run steps dt / 2 to t = 1
-        validate_suite_args(2.0**-61, None)
+        validate_suite_args(2.0**-58, None)
         with pytest.raises(ConfigError) as err:
-            validate_suite_args(2.0**-62, None)
+            validate_suite_args(2.0**-59, None)
         assert err.value.key == "dt"
 
     def test_dt_beyond_t_final_rejected(self):
@@ -474,6 +475,38 @@ class TestSimulateCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "dt" in err[0]
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        # the manifest waits for the records, so a diverging run leaves
+        # its output directory empty
+        assert main(["simulate", "--config",
+                     str(stiff_gksl_config(tmp_path))]) == 2
+        assert "step 50" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_unaddressable_step_count_names_dt(self, tmp_path, capsys):
+        # 5e18 steps: one float64 per step is more bytes than an array can
+        # address.  Only parsed: nothing of that size is made
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "o"))
+        assert main(["simulate", "--config", str(cfg), "--dt", "1e-20"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config key 'dt'" in err[0], err
+        assert not (tmp_path / "o").exists()
+
+    def test_unaddressable_noise_block_is_out_of_memory(self, tmp_path,
+                                                        capsys):
+        # 2**55 steps pass the step bound, but a 256-path block of their
+        # noise is 2**66 bytes, more than numpy can address; saving only
+        # the ends keeps every other array small, so nothing is made
+        cfg = write_config(tmp_path, t_final=1.0, save_stride=2**55,
+                           n_trajectories=300,
+                           output_dir=str(tmp_path / "o"))
+        assert main(["simulate", "--config", str(cfg), "--dt",
+                     str(2.0**-55)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: out of memory, raise dt"), err
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_output_dir_below_file_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"

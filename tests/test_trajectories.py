@@ -411,8 +411,8 @@ class TestMonteCarlo:
                                   scheme="exponential_em")
         _, oracle = gksl_solve(model, dec.density(), 1e-3, 100, 100)
         assert np.max(np.abs(series.mean - oracle)) <= 1e-8
-        # identical paths: SE is pure one-pass cancellation noise
-        assert np.max(series.se) <= 1e-7
+        # identical paths: the centred SE is exactly 0
+        assert np.max(series.se) == 0.0
 
     def test_amplitude_damping_mean(self):
         model = qubit_model(0.0, 1.0, "minus")
@@ -756,6 +756,127 @@ class TestGoldenMonteCarlo:
         monte_carlo_mean(model, mixed, 300, 5, "linear_weighted", dt=1e-3,
                          t_final=0.02, save_stride=5)
         assert calls == [256] * 20 + [44] * 20
+
+
+MIXED_QUBIT = np.array([[0.65, 0.15 + 0.05j], [0.15 - 0.05j, 0.35]])
+
+
+class TestChunkedMoments:
+    """Saved states are reduced a chunk of saves at a time into centred
+    per-block moments, which are merged in block order."""
+
+    @staticmethod
+    def _run(equation):
+        # d = 3: a 256-path block holds 7 saves a chunk by default, so its
+        # 41 saves make 6 chunks, and the last block's 88 paths make 3
+        model, mixed, pure, obs = _mc_golden_setup()
+        dec = pure if equation == "nonlinear" else mixed
+        purity = lambda rho: np.einsum("bij,bji->b", rho, rho).real
+        s = monte_carlo_mean(model, dec, 600, 41, equation, dt=1e-3,
+                             t_final=0.04, observables=obs)
+        f = sample_functionals(model, dec, 600, 42, equation,
+                               {"x01": obs["x01"], "purity": purity},
+                               np.arange(41) * 1e-3, dt=1e-3, t_final=0.04)
+        return _exact([s.times, s.mean, s.se, s.observable_stats,
+                       f.times, f.samples, f.weights])
+
+    @pytest.mark.parametrize("equation", MC_EQUATIONS)
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch,
+                                                     equation):
+        assert traj._CHUNK_BYTES // (16 * BLOCK_SIZE * 9) == 7
+        default = self._run(equation)
+        monkeypatch.setattr(traj, "_CHUNK_BYTES", 1)
+        one_save = self._run(equation)
+        monkeypatch.setattr(traj, "_CHUNK_BYTES", 1 << 40)
+        assert one_save == default == self._run(equation)
+
+    @pytest.mark.parametrize("equation", ["siwf", "belavkin",
+                                          "linear_weighted"])
+    def test_initial_se_is_zero_from_a_mixed_state(self, equation):
+        # every path holds the initial state at t = 0
+        dec = decompose_density(MIXED_QUBIT)
+        s = monte_carlo_mean(qubit_model(1.0, 0.8, "x"), dec, 300, 11,
+                             equation, dt=1e-3, t_final=0.02, save_stride=4,
+                             observables={"sz": SZ})
+        assert np.all(s.se[0] == 0.0)
+        assert s.observable_stats["sz"][1][0] == 0.0
+        assert np.all(s.se[1:] > 0.0)
+
+    @pytest.mark.parametrize("equation", ["siwf", "linear_weighted"])
+    def test_near_constant_readout_has_its_se(self, equation):
+        # 0.65 I + 1e-9 sigma_z reads 0.65 tr(rho) + 1e-9 <sigma_z>: a
+        # spread of 1e-9 about 0.65, whose SE is 1e-9 times sigma_z's
+        obs = {"sz": SZ, "near": 0.65 * np.eye(2) + 1e-9 * SZ}
+        s = monte_carlo_mean(qubit_model(1.0, 1.0, "z"),
+                             decompose_density(MIXED_QUBIT), 300, 5,
+                             equation, dt=1e-3, t_final=0.05,
+                             save_stride=10, observables=obs)
+        se_sz, se_near = s.observable_stats["sz"][1], s.observable_stats["near"][1]
+        assert np.all(se_sz[1:] > 0.0)
+        assert np.allclose(se_near, 1e-9 * se_sz, rtol=1e-3, atol=0.0)
+
+    @pytest.mark.parametrize("equation", ["siwf", "linear_weighted"])
+    def test_constant_readout_has_zero_se(self, equation):
+        obs = {"const": lambda rho: np.full(len(rho), 0.65)}
+        s = monte_carlo_mean(qubit_model(1.0, 1.0, "z"),
+                             decompose_density(MIXED_QUBIT), 600, 5,
+                             equation, dt=1e-3, t_final=0.02,
+                             save_stride=5, observables=obs)
+        mean, se = s.observable_stats["const"]
+        assert np.all(se == 0.0)
+        assert np.all(mean == 0.65)
+
+    def test_one_weighted_path_has_zero_se(self):
+        model, mixed, _, obs = _mc_golden_setup()
+        s = monte_carlo_mean(model, mixed, 1, 36, "linear_weighted",
+                             dt=1e-3, t_final=0.04, save_stride=7,
+                             observables=obs)
+        assert np.all(s.se == 0.0)
+        assert np.all(s.observable_stats["x01"][1] == 0.0)
+
+    @pytest.mark.parametrize("equation", MC_EQUATIONS)
+    def test_nan_mid_chunk_names_its_step(self, monkeypatch, equation):
+        # a qubit block of 256 paths holds 16 saves a chunk: saves 16-31
+        # make the second chunk.  A NaN increment of path 3 at step 20
+        # makes its state 21 non-finite
+        assert traj._CHUNK_BYTES // (16 * BLOCK_SIZE * 4) == 16
+        block = traj.generate_noise_block
+
+        def poisoned(seed, n_channels, dt, n_steps, streams):
+            dw = block(seed, n_channels, dt, n_steps, streams)
+            dw[3, 20, 0] = np.nan
+            return dw
+
+        monkeypatch.setattr(traj, "generate_noise_block", poisoned)
+        rho0 = np.diag([0.0, 1.0]) if equation == "nonlinear" else MIXED_QUBIT
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(StepFailureError) as err:
+            monte_carlo_mean(qubit_model(1.0, 1.0, "z"),
+                             decompose_density(rho0.astype(complex)), 256,
+                             5, equation, dt=1e-3, t_final=0.04)
+        assert err.value.step == 21
+
+    def test_extinction_mid_chunk_names_the_first_extinct_save(self):
+        # L = 10 I at dt = 0.01 scales each weight by (0.5 + Z)^2 a step.
+        # At stride 1 the 17 saves of seed 1 make chunks 0-15 and 16; a
+        # hand loop finds the first saved step that holds an extinct path
+        # and the lightest path there, which a per-save check would name
+        model = make_model(np.zeros((2, 2)), [10.0 * np.eye(2)])
+        ctx = StepContext(model, "euler_maruyama", 0.01, renormalize=False)
+        dw = generate_noise_block(1, 1, 0.01, 16, range(BLOCK_SIZE))
+        phi = np.zeros((BLOCK_SIZE, 1, 2), dtype=complex)
+        phi[:, 0, 0] = 1.0
+        for k in range(16):
+            phi = linear_step_batch(ctx, phi, dw[:, k, :])
+            w = np.einsum("bni,bni->b", phi.conj(), phi).real
+            if np.any(w < EXTINCTION_THRESHOLD):
+                break
+        step, lightest = k + 1, int(np.argmin(w))
+        assert 0 < step < 15
+        with pytest.raises(TrajectoryExtinctError) as err:
+            monte_carlo_mean(model, mixture([1.0], [E1]), BLOCK_SIZE, 1,
+                             "linear_weighted", dt=0.01, t_final=0.16)
+        assert (err.value.trajectory, err.value.step) == (lightest, step)
 
 
 def _set_cpus(monkeypatch, n):

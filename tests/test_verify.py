@@ -252,8 +252,8 @@ class TestMartingale:
         assert ver._estimate is traj._estimate
         estimate = traj._estimate
 
-        def shifted(sums, n_traj, w=None):
-            mean, se = estimate(sums, n_traj, w)
+        def shifted(moments, n_traj, w=None):
+            mean, se = estimate(moments, n_traj, w)
             return mean + 10.0 * se, se
 
         dec, _ = qubit_mixed_dec()
@@ -419,8 +419,8 @@ class TestLinearRouteEquivalence:
         # 10 SE must fail the check at the suite's qubit settings
         estimate = traj._estimate
 
-        def shifted(sums, n_traj, w=None):
-            mean, se = estimate(sums, n_traj, w)
+        def shifted(moments, n_traj, w=None):
+            mean, se = estimate(moments, n_traj, w)
             return (mean, se) if w is None else (mean + 10.0 * se, se)
 
         dec, _ = qubit_mixed_dec()
